@@ -1,0 +1,82 @@
+"""Exact compressed lengths pinned by golden data.
+
+The acceptance tests check memberships and orderings, which an off-by-one
+row in a block prefix or a different zlib build can leave intact.  This
+file pins the lengths themselves: every ECA at t=200 from IC 0, the block
+prefix lengths of five rules at the coefficient-sweep and interesting-IC
+settings, and a seeded 3-colour sample.
+
+Re-record (only when lengths change on purpose) with
+
+    PYTHONPATH=src python tests/test_golden_lengths.py
+"""
+
+import json
+import zlib
+from pathlib import Path
+
+from ccl import CA, RuleSpec, ca_complexity, initial_condition
+from ccl.classify import sample_rule_space
+from ccl.complexity import DEFAULT_COMPRESSOR
+from ccl.transition import _prefix_lengths, _window_width
+
+GOLDEN = Path(__file__).resolve().parent / "golden_lengths.json"
+PREFIX_RULES = (22, 30, 73, 109, 110)
+# (name, IC numbers, t_block, blocks): the coefficient sweep and the
+# interesting-IC scan at their default settings.
+SWEEPS = (("coefficient", range(1, 21), 75, 4),
+          ("interesting", range(0, 30), 50, 12))
+STEPS = 200
+K3_SEED, K3_SIZE = 0, 10
+
+
+def compute():
+    ic0 = initial_condition(0)
+    doc = {
+        "zlib_runtime_version": zlib.ZLIB_RUNTIME_VERSION,
+        "compressor": DEFAULT_COMPRESSOR.config_id,
+        "eca_t200": [ca_complexity(RuleSpec.eca(r), ic0, STEPS)
+                     .compressed_length for r in range(256)],
+    }
+    for name, ics, t_block, blocks in SWEEPS:
+        width = _window_width(ics, t_block * blocks)
+        doc[f"prefix_{name}"] = {
+            str(r): [_prefix_lengths(RuleSpec.eca(r), j, t_block, blocks,
+                                     width, DEFAULT_COMPRESSOR) for j in ics]
+            for r in PREFIX_RULES
+        }
+    doc["k3_t200"] = {
+        str(spec.rule_number): ca_complexity(spec, ic0, STEPS)
+        .compressed_length
+        for spec in sample_rule_space(CA, 3, 1, K3_SIZE, K3_SEED)
+    }
+    return doc
+
+
+def test_lengths_match_golden():
+    want = json.loads(GOLDEN.read_text())
+    got = compute()
+    recorded, running = want["zlib_runtime_version"], zlib.ZLIB_RUNTIME_VERSION
+    for key in want:
+        if key == "zlib_runtime_version":
+            continue
+        assert got[key] == want[key], (
+            f"{key} differs from {GOLDEN.name} (recorded with zlib "
+            f"{recorded}, running zlib {running})"
+        )
+
+
+def _dump(doc):
+    """JSON with one line per top-level value or per rule."""
+    def value(v):
+        if not isinstance(v, dict):
+            return json.dumps(v)
+        rows = ",\n".join(f"  {json.dumps(k)}: {json.dumps(x)}"
+                           for k, x in v.items())
+        return "{\n" + rows + "\n }"
+    body = ",\n".join(f" {json.dumps(k)}: {value(v)}" for k, v in doc.items())
+    return "{\n" + body + "\n}\n"
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(_dump(compute()))
