@@ -18,7 +18,7 @@ from .classify import (ClassificationEntry, ClassificationReport,
 from .complexity import (DEFAULT_COMPRESSOR, ComplexityEstimate,
                          CompressorConfig, ca_complexity, compressed_length,
                          deflate, encode_diagram, encode_sequence,
-                         tm_complexity)
+                         prefix_compressed_lengths, tm_complexity)
 from .initcond import (InitialCondition, damerau_levenshtein, gray_derivate,
                        gray_integrate, initial_condition,
                        initial_condition_number)
@@ -36,7 +36,8 @@ __all__ = [
     "InitialCondition", "gray_derivate", "gray_integrate",
     "initial_condition", "initial_condition_number", "damerau_levenshtein",
     "CompressorConfig", "DEFAULT_COMPRESSOR", "ComplexityEstimate",
-    "deflate", "compressed_length", "encode_diagram", "encode_sequence",
+    "deflate", "compressed_length", "prefix_compressed_lengths",
+    "encode_diagram", "encode_sequence",
     "ca_complexity", "tm_complexity",
     "ClassificationEntry", "ClassificationReport", "rank_rules",
     "cluster_1d", "classify_eca", "with_clusters", "sample_rule_space",

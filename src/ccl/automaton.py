@@ -180,12 +180,12 @@ def _evolve_bits(rule_number, init, steps, width):
 
 
 def _bits_to_cells(rows, width):
-    out = np.empty((len(rows), width), dtype=np.uint8)
-    for j, x in enumerate(rows):
-        line = format(x, f"0{width}b")[::-1].encode()
-        out[j] = np.frombuffer(line, dtype=np.uint8)
-    out -= ord("0")
-    return out
+    """Cell array of row integers (bit i = cell i), one row per integer."""
+    nbytes = (width + 7) // 8
+    packed = np.frombuffer(
+        b"".join(x.to_bytes(nbytes, "little") for x in rows), dtype=np.uint8
+    ).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
 
 
 def evolve_ca(rule, init, steps, width=None):

@@ -6,7 +6,9 @@ those lengths recovers the simple/complex behavioral divide.
 """
 
 import json
+import os
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -67,11 +69,15 @@ class ClassificationReport:
         return [e.rule.rule_number for e in self.entries if e.cluster == cluster]
 
 
-def _map_rules(fn, rules, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, rules))
-    return [fn(r) for r in rules]
+def _parallel_map(fn, items, threads):
+    """``[fn(x) for x in items]`` on up to ``threads`` worker threads, never
+    more than there are CPUs or items; results keep the input order."""
+    items = list(items)
+    workers = min(threads or 1, os.cpu_count() or 1, len(items))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def rank_rules(rules, init, steps, config=DEFAULT_COMPRESSOR, threads=None):
@@ -84,7 +90,7 @@ def rank_rules(rules, init, steps, config=DEFAULT_COMPRESSOR, threads=None):
     if not rules:
         raise ValueError("rule set must be non-empty")
     init = tuple(int(c) for c in init)
-    estimates = _map_rules(
+    estimates = _parallel_map(
         lambda r: ca_complexity(r, init, steps, config), rules, threads
     )
     pairs = sorted(
@@ -181,6 +187,11 @@ def sample_rule_space(kind, colors, states, size, seed):
     space = RuleSpec(kind, colors, 0, states).space_size
     if size > space:
         raise ValueError(f"sample size {size} exceeds space size {space}")
+    if space > sys.maxsize:
+        raise ValueError(
+            f"cannot sample a space of more than {sys.maxsize} rules; "
+            "give an explicit rule list"
+        )
     rng = random.Random(seed)
     numbers = sorted(rng.sample(range(space), size))
     return [RuleSpec(kind, colors, n, states) for n in numbers]

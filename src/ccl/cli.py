@@ -56,6 +56,31 @@ _DEFAULTS = {
 }
 
 
+# Keys whose config-file value must be a JSON integer, and those that take
+# any JSON number.  null is accepted only where the default is null (unset).
+_INT_KEYS = frozenset({
+    "colors", "states", "steps", "sample_size", "seed", "split_levels", "n",
+    "t_block", "blocks", "top", "count", "scan", "profile_steps",
+    "profile_blocks", "rule", "ic_count", "budget",
+})
+_NUMBER_KEYS = frozenset({"threshold", "q"})
+
+
+def _check_type(key, value, default):
+    """Reject a config value of the wrong JSON type instead of coercing it
+    (``true`` or ``1.7`` for an integer key, ``null`` for a set one)."""
+    if value is None and default is None:
+        return
+    if key in _INT_KEYS:
+        kinds, what = (int,), "an integer"
+    elif key in _NUMBER_KEYS:
+        kinds, what = (int, float), "a number"
+    else:
+        return
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{key} must be {what}, not {json.dumps(value)}")
+
+
 def _load_config(command, path, overrides):
     cfg = dict(_DEFAULTS[command])
     if path is not None:
@@ -71,6 +96,7 @@ def _load_config(command, path, overrides):
         for key, value in loaded.items():
             if key not in cfg:
                 raise ConfigError(f"unknown config key {key!r} for {command}")
+            _check_type(key, value, cfg[key])
             cfg[key] = value
     for key, value in overrides.items():
         if value is not None and value is not False:

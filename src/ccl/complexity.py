@@ -92,21 +92,47 @@ class ComplexityEstimate:
     ratio: Fraction
 
 
-def deflate(data, config=DEFAULT_COMPRESSOR):
-    """Compress ``data`` to a raw DEFLATE stream under the pinned config."""
-    co = zlib.compressobj(
+def _compressobj(config):
+    return zlib.compressobj(
         config.level,
         zlib.DEFLATED,
         config.window_bits,
         config.mem_level,
         config.strategy,
     )
+
+
+def deflate(data, config=DEFAULT_COMPRESSOR):
+    """Compress ``data`` to a raw DEFLATE stream under the pinned config."""
+    co = _compressobj(config)
     return co.compress(data) + co.flush()
 
 
 def compressed_length(data, config=DEFAULT_COMPRESSOR):
     """Length in bytes of the raw DEFLATE stream for ``data``."""
     return len(deflate(data, config))
+
+
+def prefix_compressed_lengths(data, ends, config=DEFAULT_COMPRESSOR):
+    """``[compressed_length(data[:e]) for e in ends]`` from one stream.
+
+    ``data`` is fed once, in order, to a single compressor; at each end the
+    bytes emitted so far plus the flush of a copy of the compressor state
+    give the prefix's length.  DEFLATE output does not depend on how its
+    input is split, so every length equals one-shot compression of the
+    prefix byte for byte.  ``ends`` must be ascending.
+    """
+    co = _compressobj(config)
+    view = memoryview(data)
+    emitted = prev = 0
+    out = []
+    for end in ends:
+        if end < prev:
+            raise ValueError("prefix ends must be non-negative and ascending")
+        emitted += len(co.compress(view[prev:end]))
+        out.append(emitted + len(co.copy().flush()))
+        prev = end
+    return out
 
 
 def encode_diagram(diagram):

@@ -13,14 +13,18 @@ measured as a row prefix of the same evolution.  Both choices remove
 compressor artifacts that have nothing to do with the dynamics: varying
 window widths or restarts at different widths can shift match lengths
 inside the compressor and fake jumps between otherwise identical regimes.
+Each evolution is compressed once, as one incremental DEFLATE stream, and
+the length of every block prefix is read off at its row boundary; the
+lengths equal one-shot compression of each prefix byte for byte.
 """
 
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .automaton import evolve_ca
-from .complexity import DEFAULT_COMPRESSOR, compressed_length, encode_diagram
+from .classify import _parallel_map, cluster_1d
+from .complexity import (DEFAULT_COMPRESSOR, compressed_length,
+                         encode_diagram, prefix_compressed_lengths)
 from .initcond import initial_condition
 
 
@@ -95,26 +99,20 @@ def _window_width(ic_numbers, steps):
     return longest + 2 * (steps + 1)
 
 
-def _indexed_map(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _prefix_lengths(rule, ic_number, t_block, blocks, width, config):
     """Compressed length of the first 1 + b*t_block rows of one evolution,
     for b = 1..blocks.  Row-major encoding makes each block a byte prefix
-    of the full encoding."""
+    of the full encoding, so the encoding goes once through one incremental
+    DEFLATE stream and each length is read off at its row boundary."""
     enc = encode_diagram(
         evolve_ca(rule, initial_condition(ic_number), t_block * blocks,
                   width=width)
     )
     stride = width + 1
-    return [
-        compressed_length(enc[: stride * (b * t_block + 1)], config)
-        for b in range(1, blocks + 1)
-    ]
+    return prefix_compressed_lengths(
+        enc, [stride * (b * t_block + 1) for b in range(1, blocks + 1)],
+        config,
+    )
 
 
 def ic_profile(rule, m, steps, normalize=False, config=DEFAULT_COMPRESSOR,
@@ -133,7 +131,7 @@ def ic_profile(rule, m, steps, normalize=False, config=DEFAULT_COMPRESSOR,
         )
         return compressed_length(enc, config)
 
-    lengths = _indexed_map(one, range(m), threads)
+    lengths = _parallel_map(one, range(m), threads)
     if normalize:
         lengths = [c / steps for c in lengths]
     return IcProfile(rule, steps, tuple(lengths), normalize)
@@ -223,7 +221,7 @@ def transition_sequence(rule, n, t_block, blocks, include_zero=False,
         raise ValueError("t_block must be >= 1")
     numbers = list(range(0, n)) if include_zero else list(range(1, n + 1))
     width = _window_width(numbers, t_block * blocks)
-    per_ic = _indexed_map(
+    per_ic = _parallel_map(
         lambda j: _prefix_lengths(rule, j, t_block, blocks, width, config),
         numbers, threads,
     )
@@ -292,7 +290,7 @@ def interesting_initial_conditions(rule, count=10, t=600, blocks=12, m=30,
         raise ValueError("t must be a multiple of blocks")
     t_block = t // blocks
     width = _window_width(range(m), t)
-    per_ic = _indexed_map(
+    per_ic = _parallel_map(
         lambda j: _prefix_lengths(rule, j, t_block, blocks, width, config),
         range(m), threads,
     )
@@ -364,12 +362,10 @@ def coefficient_classification(rules, n=20, t_block=75, blocks=4, clusters=2,
                                config=DEFAULT_COMPRESSOR, threads=None):
     """Rank a rule set by transition coefficient (largest first) and split
     the coefficients into ``clusters`` groups by largest gaps."""
-    from .classify import cluster_1d
-
     rules = list(rules)
     if not rules:
         raise ValueError("rule set must be non-empty")
-    records = _indexed_map(
+    records = _parallel_map(
         lambda r: transition_record(r, n, t_block, blocks, config=config),
         rules, threads,
     )

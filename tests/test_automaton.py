@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ccl import (CA, TM, RuleSpec, TmConfiguration, ca_step, evolve_ca,
                  reached_states_sequence, state_sequence, tm_step)
-from ccl.automaton import _evolve_bits, _evolve_lookup
+from ccl.automaton import _bits_to_cells, _evolve_bits, _evolve_lookup
 
 
 def brute_evolve(rule_number, init, steps):
@@ -247,3 +247,31 @@ class TestTuringMachine:
         assert seq[0] == 1
         assert all(1 <= v <= 2 for v in seq)
         assert all(a <= b for a, b in zip(seq, seq[1:]))
+
+
+def format_bits_to_cells(rows, width):
+    """Reference unpacking: one binary string per row, least significant
+    bit first."""
+    return np.array(
+        [[int(ch) for ch in format(x, f"0{width}b")[::-1]] for x in rows],
+        dtype=np.uint8,
+    ).reshape(len(rows), width)
+
+
+class TestBitsToCells:
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65, 403])
+    def test_matches_format_reference(self, width):
+        rng = np.random.default_rng(width)
+        full = (1 << width) - 1
+        rows = [0, full, 1, 1 << (width - 1)] + [
+            int.from_bytes(rng.bytes((width + 7) // 8), "little") & full
+            for _ in range(20)
+        ]
+        got = _bits_to_cells(rows, width)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, format_bits_to_cells(rows, width))
+
+    def test_evolution_rows_match_format_reference(self):
+        rows = _evolve_bits(110, (1, 0, 1, 1), 60, 131)
+        assert np.array_equal(_bits_to_cells(rows, 131),
+                              format_bits_to_cells(rows, 131))

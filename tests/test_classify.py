@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ccl.classify
 from ccl import (CA, TM, RuleSpec, ca_complexity, classify_eca, cluster_1d,
                  encode_diagram, evolve_ca, rank_rules, sample_rule_space,
                  with_clusters)
+from ccl.classify import _parallel_map
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -188,6 +191,11 @@ class TestSampleRuleSpace:
         with pytest.raises(ValueError):
             sample_rule_space(CA, 2, 1, 0, seed=0)
 
+    def test_space_too_large_to_sample_rejected(self):
+        assert RuleSpec(CA, 4, 0).space_size > sys.maxsize
+        with pytest.raises(ValueError, match="explicit rule list"):
+            sample_rule_space(CA, 4, 1, 5, seed=0)
+
     def test_sampled_three_color_top_rule_has_growing_complexity(self):
         rules = sample_rule_space(CA, 3, 1, 24, seed=5)
         report = rank_rules(rules, (1,), 100)
@@ -198,3 +206,43 @@ class TestSampleRuleSpace:
         ]
         fit = [(curve[i + 1] - curve[i]) for i in range(3)]
         assert all(step > 0 for step in fit)
+
+
+class RecordingExecutor:
+    """Stand-in for ThreadPoolExecutor that records ``max_workers`` and maps
+    in the calling thread, so no thread is started."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestParallelMap:
+    # An unknown CPU count means one worker, which builds no pool at all.
+    @pytest.mark.parametrize("cpus, pools", [(64, [3]), (2, [2]), (None, [])])
+    def test_workers_capped_by_cpus_and_items(self, monkeypatch, cpus, pools):
+        monkeypatch.setattr(ccl.classify, "ThreadPoolExecutor",
+                            RecordingExecutor)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        monkeypatch.setattr(RecordingExecutor, "max_workers", [])
+        out = _parallel_map(lambda x: x * x, [3, 1, 2], threads=10 ** 6)
+        assert out == [9, 1, 4]
+        assert RecordingExecutor.max_workers == pools
+
+    @pytest.mark.parametrize("threads", [None, 1])
+    def test_one_thread_builds_no_pool(self, monkeypatch, threads):
+        monkeypatch.setattr(ccl.classify, "ThreadPoolExecutor",
+                            RecordingExecutor)
+        monkeypatch.setattr(RecordingExecutor, "max_workers", [])
+        assert _parallel_map(str, range(4), threads) == ["0", "1", "2", "3"]
+        assert RecordingExecutor.max_workers == []

@@ -65,6 +65,32 @@ def test_unknown_config_key_rejected(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command, config", [
+    ("classify", {"steps": None}),
+    ("classify", {"steps": True}),
+    ("classify", {"steps": 1.7}),
+    ("classify", {"colors": 11, "sample_size": 5}),
+    ("transition", {"threshold": None}),
+], ids=["steps-null", "steps-true", "steps-float", "colors-11-sampled",
+        "threshold-null"])
+def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys, command,
+                                                config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ccl: ") and err.count("\n") == 1
+
+
+def test_null_accepted_where_the_default_is_unset(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"rules": [30, 90], "steps": 30,
+                               "sample_size": None}))
+    assert main(["classify", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"rules": [30, 90], "steps": 40}))

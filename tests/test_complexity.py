@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccl import (DEFAULT_COMPRESSOR, CompressorConfig, RuleSpec,
                  SpaceTimeDiagram, ca_complexity, compressed_length, deflate,
-                 encode_diagram, encode_sequence, evolve_ca, tm_complexity)
+                 encode_diagram, encode_sequence, evolve_ca,
+                 prefix_compressed_lengths, tm_complexity)
 from rfc1951 import inflate
 from test_automaton import action, tm_rule_from_digits
 
@@ -87,6 +90,70 @@ class TestCompressedLength:
                 CompressorConfig(level=9),
             ):
                 assert inflate(deflate(data, config)) == data
+
+
+# Random bytes, and highly repetitive ones: a short random unit repeated
+# (long matches reaching back across chunk boundaries), some up to ~80 KiB so
+# that ends fall past the 32 KiB window.
+_byte_strings = st.one_of(
+    st.binary(max_size=4000),
+    st.builds(lambda unit, reps: unit * reps,
+              st.binary(min_size=1, max_size=24),
+              st.integers(min_value=0, max_value=4000)),
+)
+
+
+@st.composite
+def _data_and_ends(draw):
+    data = draw(_byte_strings)
+    top = len(data) + 50  # ends may run past the data, as slices allow
+    ends = draw(st.lists(st.integers(min_value=0, max_value=top),
+                         max_size=8))
+    return data, sorted(ends)
+
+
+class TestPrefixCompressedLengths:
+    @settings(max_examples=150, deadline=None)
+    @given(_data_and_ends())
+    def test_equals_one_shot_compression_of_each_prefix(self, case):
+        data, ends = case
+        assert prefix_compressed_lengths(data, ends) == [
+            compressed_length(data[:e]) for e in ends
+        ]
+
+    def test_edge_cases(self):
+        rng = random.Random(7)
+        cases = [
+            (b"", [0, 0, 5]),
+            (b"abc", []),
+            (b"abcabc" * 10, [0, 0, 6, 6, 60]),
+            (rng.randbytes(100000), [0, 1, 32767, 32768, 32769, 65536,
+                                     99999, 100000]),
+            (b"0123456789\n" * 20000, [0, 32768, 70001, 150000, 220000]),
+        ]
+        for data, ends in cases:
+            for config in (DEFAULT_COMPRESSOR, CompressorConfig(level=1),
+                           CompressorConfig(level=9, window_bits=-9)):
+                assert prefix_compressed_lengths(data, ends, config) == [
+                    compressed_length(data[:e], config) for e in ends
+                ]
+
+    def test_block_prefixes_of_an_evolution(self):
+        width, t_block, blocks = 203, 25, 4
+        data = encode_diagram(
+            evolve_ca(RuleSpec.eca(30), (1,), t_block * blocks, width=width)
+        )
+        ends = [(width + 1) * (b * t_block + 1) for b in range(1, blocks + 1)]
+        assert ends[-1] == len(data)
+        assert prefix_compressed_lengths(bytearray(data), ends) == [
+            compressed_length(data[:e]) for e in ends
+        ]
+
+    def test_non_ascending_ends_rejected(self):
+        with pytest.raises(ValueError):
+            prefix_compressed_lengths(b"abcdef", [4, 2])
+        with pytest.raises(ValueError):
+            prefix_compressed_lengths(b"abcdef", [-1])
 
 
 class TestCaComplexity:
