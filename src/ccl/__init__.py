@@ -9,9 +9,8 @@ classes, phase-transition profiles, and sensitivity coefficients.
 
 __version__ = "0.1.0"
 
-from .automaton import (CA, TM, RuleSpec, SpaceTimeDiagram, TmConfiguration,
-                        ca_step, evolve_ca, reached_states_sequence,
-                        state_sequence, tm_step)
+from .automaton import (CA, TM, RuleSpec, SpaceTimeDiagram, evolve_ca,
+                        reached_states_sequence, state_sequence)
 from .classify import (ClassificationEntry, ClassificationReport,
                        classify_eca, cluster_1d, rank_rules,
                        sample_rule_space, with_clusters)
@@ -30,9 +29,8 @@ from .transition import (CoefficientReport, IcProfile, InterestingIcs,
                          transition_record, transition_sequence)
 
 __all__ = [
-    "CA", "TM", "RuleSpec", "SpaceTimeDiagram", "TmConfiguration",
-    "ca_step", "evolve_ca", "tm_step", "reached_states_sequence",
-    "state_sequence",
+    "CA", "TM", "RuleSpec", "SpaceTimeDiagram", "evolve_ca",
+    "reached_states_sequence", "state_sequence",
     "InitialCondition", "gray_derivate", "gray_integrate",
     "initial_condition", "initial_condition_number", "damerau_levenshtein",
     "CompressorConfig", "DEFAULT_COMPRESSOR", "ComplexityEstimate",

@@ -100,30 +100,6 @@ def _rule_table(rule):
     return table
 
 
-def ca_step(row, rule, background=0):
-    """Apply one synchronous update of a radius-1 CA rule to a row.
-
-    Cells just outside the row are taken to hold ``background`` (0 by
-    default).  Output has the same length as the input.
-    """
-    if rule.kind != CA:
-        raise ValueError("ca_step needs a CA rule")
-    row = np.asarray(list(row), dtype=np.int64)
-    if row.size < 3:
-        raise ValueError("row must hold at least 3 cells")
-    k = rule.colors
-    if row.min() < 0 or row.max() >= k:
-        raise ValueError(f"cell values must lie in [0, {k})")
-    if not 0 <= background < k:
-        raise ValueError(f"background must lie in [0, {k})")
-    table = _rule_table(rule)
-    padded = np.empty(row.size + 2, dtype=np.int64)
-    padded[0] = padded[-1] = background
-    padded[1:-1] = row
-    idx = padded[:-2] * (k * k) + padded[1:-1] * k + padded[2:]
-    return table[idx]
-
-
 def _evolve_lookup(rule, init, steps, width):
     """Table-lookup evolution for any k; one numpy pass per step."""
     k = rule.colors
@@ -219,19 +195,6 @@ def evolve_ca(rule, init, steps, width=None):
     return SpaceTimeDiagram(width, grid)
 
 
-@dataclass(frozen=True)
-class TmConfiguration:
-    """Tape (sparse map position -> color, 0 elsewhere), head position, and
-    machine state."""
-
-    tape: dict
-    head: int
-    state: int
-
-
-BLANK_TM = TmConfiguration(tape={}, head=0, state=0)
-
-
 @lru_cache(maxsize=4096)
 def _tm_table(rule):
     """Decode a TM rule number into a tuple of (new_state, new_color, move)
@@ -259,55 +222,28 @@ def _tm_table(rule):
     return tuple(table)
 
 
-def tm_step(cfg, rule):
-    """One Turing-machine step: read, write, move, switch state."""
-    table = _tm_table(rule)
-    color = cfg.tape.get(cfg.head, 0)
-    new_state, new_color, move = table[cfg.state * rule.colors + color]
-    tape = dict(cfg.tape)
-    if new_color:
-        tape[cfg.head] = new_color
-    else:
-        tape.pop(cfg.head, None)
-    return TmConfiguration(tape, cfg.head + move, new_state)
-
-
 def reached_states_sequence(rule, steps):
     """Run ``rule`` from the blank tape and report, for each step j in
     0..steps, how many distinct states have been visited so far.
 
     The sequence starts at 1 (the start state), never decreases, and is
     bounded by the state count.  It is the object whose compressed length
-    stands in for the machine's complexity.
+    stands in for the machine's complexity.  The count steps up by one at
+    the first occurrence of each state in :func:`state_sequence`.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    table = _tm_table(rule)
-    k = rule.colors
-    tape = {}
-    head = 0
-    state = 0
-    seen = 1
-    count = 1
-    out = [1]
-    for _ in range(steps):
-        new_state, new_color, move = table[state * k + tape.get(head, 0)]
-        if new_color:
-            tape[head] = new_color
-        else:
-            tape.pop(head, None)
-        head += move
-        state = new_state
-        if not (seen >> state) & 1:
-            seen |= 1 << state
-            count += 1
-        out.append(count)
+    states = state_sequence(rule, steps)
+    firsts = sorted(map(states.index, set(states)))
+    firsts.append(len(states))
+    out = []
+    for count in range(1, len(firsts)):
+        out += [count] * (firsts[count] - firsts[count - 1])
     return out
 
 
 def state_sequence(rule, steps):
-    """The raw state occupied at each step 0..steps (alternate complexity
-    input to :func:`reached_states_sequence`)."""
+    """The raw state occupied at each step 0..steps of ``rule`` run from
+    the blank tape; the one Turing-machine runner, from which
+    :func:`reached_states_sequence` derives its counts."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     table = _tm_table(rule)

@@ -133,18 +133,19 @@ def cluster_1d(values, k):
 
 def _recluster(report, k, only_cluster=None, base=0):
     """Re-run cluster_1d over (a subset of) a report's entries, returning new
-    entries with ids offset by ``base``."""
-    subset = [
-        e for e in report.entries
-        if only_cluster is None or e.cluster == only_cluster
-    ]
-    k = min(k, len(set(e.c_compressed for e in subset)))
-    ids = cluster_1d([e.c_compressed for e in subset], k)
-    relabel = {id(e): base + i for e, i in zip(subset, ids)}
+    entries with ids offset by ``base``; an empty subset changes nothing."""
+    entries = report.entries
+    picked = [i for i, e in enumerate(entries)
+              if only_cluster is None or e.cluster == only_cluster]
+    if not picked:
+        return entries
+    values = [entries[i].c_compressed for i in picked]
+    ids = cluster_1d(values, min(k, len(set(values))))
+    relabel = {i: base + c for i, c in zip(picked, ids)}
     return tuple(
         ClassificationEntry(e.rule, e.c_raw, e.c_compressed,
-                            relabel.get(id(e), e.cluster))
-        for e in report.entries
+                            relabel.get(i, e.cluster))
+        for i, e in enumerate(entries)
     )
 
 
@@ -156,6 +157,19 @@ def with_clusters(report, k=2):
                                 report.compressor_id)
 
 
+def _classify(rules, init, steps, config, threads, split_levels):
+    """The one classification path of :func:`classify_eca` and the CLI:
+    rank, cluster, and with ``split_levels=2`` split the high cluster."""
+    if split_levels not in (1, 2):
+        raise ValueError("split_levels must be 1 or 2")
+    report = with_clusters(rank_rules(rules, init, steps, config, threads))
+    if split_levels == 2:
+        report = ClassificationReport(
+            _recluster(report, 2, only_cluster=1, base=1), report.steps,
+            report.init, report.compressor_id)
+    return report
+
+
 def classify_eca(steps=200, config=DEFAULT_COMPRESSOR, threads=None,
                  split_levels=1):
     """Rank all 256 binary rules from the single black cell and split the
@@ -165,17 +179,8 @@ def classify_eca(steps=200, config=DEFAULT_COMPRESSOR, threads=None,
     ``split_levels=2`` additionally splits the high cluster in two, giving
     dense ids 0 (low), 1, and 2 (highest).
     """
-    if split_levels not in (1, 2):
-        raise ValueError("split_levels must be 1 or 2")
-    report = with_clusters(
-        rank_rules([RuleSpec.eca(n) for n in range(256)], (1,), steps,
-                   config, threads)
-    )
-    if split_levels == 2:
-        entries = _recluster(report, 2, only_cluster=1, base=1)
-        report = ClassificationReport(entries, steps, report.init,
-                                      report.compressor_id)
-    return report
+    return _classify([RuleSpec.eca(n) for n in range(256)], (1,), steps,
+                     config, threads, split_levels)
 
 
 def sample_rule_space(kind, colors, states, size, seed):

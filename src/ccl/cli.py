@@ -15,8 +15,7 @@ import sys
 
 from . import __version__
 from .automaton import CA, TM, RuleSpec
-from .classify import (classify_eca, rank_rules, sample_rule_space,
-                       with_clusters)
+from .classify import _classify, sample_rule_space
 from .complexity import DEFAULT_COMPRESSOR, tm_complexity
 from .svgplot import profile_svg, ranking_svg, transition_svg
 from .transition import (coefficient_classification, detect_spikes,
@@ -66,18 +65,27 @@ _INT_KEYS = frozenset({
 _NUMBER_KEYS = frozenset({"threshold", "q"})
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_type(key, value, default):
     """Reject a config value of the wrong JSON type instead of coercing it
-    (``true`` or ``1.7`` for an integer key, ``null`` for a set one)."""
+    (``true`` or ``1.7`` for an integer key or list item, ``null`` for a
+    set one).  A ``rules`` value that is not a list is parsed as on the
+    command line."""
     if value is None and default is None:
         return
     if key in _INT_KEYS:
-        kinds, what = (int,), "an integer"
+        ok, what = _is_int(value), "an integer"
     elif key in _NUMBER_KEYS:
-        kinds, what = (int, float), "a number"
+        ok, what = _is_int(value) or isinstance(value, float), "a number"
+    elif key == "ic" or (key == "rules" and isinstance(value, list)):
+        ok = isinstance(value, list) and all(map(_is_int, value))
+        what = "a list of integers"
     else:
         return
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if not ok:
         raise ConfigError(f"{key} must be {what}, not {json.dumps(value)}")
 
 
@@ -108,7 +116,7 @@ def _parse_rules(value):
     if value is None:
         return None
     if isinstance(value, list):
-        return [int(r) for r in value]
+        return value
     try:
         return [int(tok) for tok in str(value).split(",") if tok.strip()]
     except ValueError as exc:
@@ -156,36 +164,23 @@ def _write_manifest(outdir, command, params, compressor):
                                                sort_keys=True) + "\n")
 
 
-def _manifest_params(cfg):
-    params = dict(cfg)
-    if isinstance(params.get("rules"), list):
-        params["rules"] = list(params["rules"])
-    return {k: params[k] for k in sorted(params)}
-
-
 def cmd_classify(cfg, outdir, threads, compressor):
     rules = _parse_rules(cfg["rules"])
     colors = int(cfg["colors"])
-    steps = int(cfg["steps"])
-    init = tuple(int(c) for c in cfg["ic"])
     if rules is not None:
         specs = [RuleSpec(CA, colors, r) for r in rules]
-    elif colors == 2:
-        report = classify_eca(steps, compressor, threads,
-                              split_levels=int(cfg["split_levels"]))
-        specs = None
-    else:
-        if cfg["sample_size"] is None:
-            raise ConfigError(
-                f"{colors}-color space needs an explicit rule list or "
-                "sample_size"
-            )
+    elif cfg["sample_size"] is not None:
         specs = sample_rule_space(CA, colors, 1, int(cfg["sample_size"]),
                                   int(cfg["seed"]))
-    if specs is not None:
-        report = with_clusters(
-            rank_rules(specs, init, steps, compressor, threads)
+    elif colors == 2:
+        specs = [RuleSpec.eca(r) for r in range(256)]
+    else:
+        raise ConfigError(
+            f"{colors}-color space needs an explicit rule list or "
+            "sample_size"
         )
+    report = _classify(specs, cfg["ic"], int(cfg["steps"]), compressor,
+                       threads, cfg["split_levels"])
     _write(outdir, "classification.csv", report.to_csv())
     _write(outdir, "classification.json", report.to_json())
     _write(outdir, "ranking.svg", ranking_svg(report))
@@ -397,7 +392,7 @@ def main(argv=None):
         _ensure_outdir(args.out, args.create)
         _COMMANDS[command](cfg, args.out, threads, compressor)
         compressor.save(os.path.join(args.out, "compressor.cfg"))
-        _write_manifest(args.out, command, _manifest_params(cfg), compressor)
+        _write_manifest(args.out, command, cfg, compressor)
     except ConfigError as exc:
         print(f"ccl: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,6 +16,10 @@ inside the compressor and fake jumps between otherwise identical regimes.
 Each evolution is compressed once, as one incremental DEFLATE stream, and
 the length of every block prefix is read off at its row boundary; the
 lengths equal one-shot compression of each prefix byte for byte.
+
+Every sweep -- one exponent, a transition sequence, the coefficient of an
+interesting-IC scan -- fills a table of lengths (initial conditions by
+runtime blocks) and hands it to one successive-difference aggregation.
 """
 
 import statistics
@@ -23,8 +27,8 @@ from dataclasses import dataclass
 
 from .automaton import evolve_ca
 from .classify import _parallel_map, cluster_1d
-from .complexity import (DEFAULT_COMPRESSOR, compressed_length,
-                         encode_diagram, prefix_compressed_lengths)
+from .complexity import (DEFAULT_COMPRESSOR, encode_diagram,
+                         prefix_compressed_lengths)
 from .initcond import initial_condition
 
 
@@ -115,6 +119,19 @@ def _prefix_lengths(rule, ic_number, t_block, blocks, width, config):
     )
 
 
+def _exponents(table, divisors, reduce="mean"):
+    """Characteristic exponent of each column of a lengths table (rows:
+    consecutive initial conditions, columns: runtime blocks): the mean
+    (or, with ``reduce="max"``, the largest) absolute difference between
+    successive rows, divided by that column's divisor."""
+    out = []
+    for b, divisor in enumerate(divisors):
+        diffs = [abs(hi[b] - lo[b]) for lo, hi in zip(table, table[1:])]
+        agg = max(diffs) if reduce == "max" else sum(diffs) / len(diffs)
+        out.append(agg / divisor)
+    return out
+
+
 def ic_profile(rule, m, steps, normalize=False, config=DEFAULT_COMPRESSOR,
                threads=None):
     """Compressed length of ``rule``'s evolution from initial conditions
@@ -124,14 +141,10 @@ def ic_profile(rule, m, steps, normalize=False, config=DEFAULT_COMPRESSOR,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     width = _window_width(range(m), steps)
-
-    def one(j):
-        enc = encode_diagram(
-            evolve_ca(rule, initial_condition(j), steps, width=width)
-        )
-        return compressed_length(enc, config)
-
-    lengths = _parallel_map(one, range(m), threads)
+    lengths = _parallel_map(
+        lambda j: _prefix_lengths(rule, j, steps, 1, width, config)[0],
+        range(m), threads,
+    )
     if normalize:
         lengths = [c / steps for c in lengths]
     return IcProfile(rule, steps, tuple(lengths), normalize)
@@ -186,21 +199,16 @@ def characteristic_exponent(rule, n, steps, include_zero=False,
     if length_fn is None:
         if width is None:
             width = _window_width(numbers, steps)
-
-        def length_fn(j):
-            enc = encode_diagram(
-                evolve_ca(rule, initial_condition(j), steps, width=width)
-            )
-            return compressed_length(enc, config)
-
-    lengths = [length_fn(j) for j in numbers]
-    diffs = [abs(lengths[i + 1] - lengths[i]) for i in range(n - 1)]
-    agg = max(diffs) if reduce == "max" else sum(diffs) / (n - 1)
+        table = [_prefix_lengths(rule, j, steps, 1, width, config)
+                 for j in numbers]
+    else:
+        table = [[length_fn(j)] for j in numbers]
+    divisor = steps
     if normalize == "volume":
         if width is None:
             raise ValueError("volume normalization needs a window width")
-        return agg / (width * (steps + 1))
-    return agg / steps
+        divisor = width * (steps + 1)
+    return _exponents(table, [divisor], reduce)[0]
 
 
 def transition_sequence(rule, n, t_block, blocks, include_zero=False,
@@ -225,14 +233,8 @@ def transition_sequence(rule, n, t_block, blocks, include_zero=False,
         lambda j: _prefix_lengths(rule, j, t_block, blocks, width, config),
         numbers, threads,
     )
-    seq = []
-    for b in range(blocks):
-        diffs = [
-            abs(per_ic[i + 1][b] - per_ic[i][b]) for i in range(n - 1)
-        ]
-        agg = max(diffs) if reduce == "max" else sum(diffs) / (n - 1)
-        seq.append(agg / ((b + 1) * t_block))
-    return seq
+    runtimes = [b * t_block for b in range(1, blocks + 1)]
+    return _exponents(per_ic, runtimes, reduce)
 
 
 def least_squares_fit(seq):
@@ -253,9 +255,7 @@ def least_squares_fit(seq):
 def transition_coefficient(rule, n=20, t_block=75, blocks=4,
                            config=DEFAULT_COMPRESSOR, threads=None):
     """Slope of the least-squares line through the transition sequence."""
-    seq = transition_sequence(rule, n, t_block, blocks, config=config,
-                              threads=threads)
-    return least_squares_fit(seq)[1]
+    return transition_record(rule, n, t_block, blocks, config, threads).C
 
 
 def transition_record(rule, n=20, t_block=75, blocks=4,
@@ -313,10 +313,8 @@ def interesting_initial_conditions(rule, count=10, t=600, blocks=12, m=30,
     ics = tuple(sorted(ranked[:count]))
 
     # Coefficient over the same sweep (conditions 1..m-1), reusing lengths.
-    seq = []
-    for b in range(blocks):
-        diffs = [abs(per_ic[i + 1][b] - per_ic[i][b]) for i in range(1, m - 1)]
-        seq.append(sum(diffs) / (m - 2) / ((b + 1) * t_block))
+    runtimes = [b * t_block for b in range(1, blocks + 1)]
+    seq = _exponents(per_ic[1:], runtimes)
     coeff = least_squares_fit(seq)[1]
     return InterestingIcs(rule, ics, tuple(agg), coeff, threshold,
                           warning=not coeff > threshold)

@@ -1,0 +1,75 @@
+"""Slow, per-step reference machines used only by the tests.
+
+Each oracle decodes its rule number from the documented digit layout on its
+own, one cell or one step at a time, so that the package's fast runners
+(bit-parallel and numpy CA evolution, the Turing-machine state runner) are
+checked against code that shares none of their tables or loops.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ccl import CA, TM
+
+
+def ca_step(row, rule, background=0):
+    """Apply one synchronous update of a radius-1 CA rule to a row.
+
+    Cells just outside the row are taken to hold ``background`` (0 by
+    default).  Output has the same length as the input.  The image of the
+    neighborhood (l, c, r) is base-k digit l*k*k + c*k + r of the rule
+    number.
+    """
+    if rule.kind != CA:
+        raise ValueError("ca_step needs a CA rule")
+    row = [int(c) for c in row]
+    if len(row) < 3:
+        raise ValueError("row must hold at least 3 cells")
+    k = rule.colors
+    if not all(0 <= c < k for c in row):
+        raise ValueError(f"cell values must lie in [0, {k})")
+    if not 0 <= background < k:
+        raise ValueError(f"background must lie in [0, {k})")
+    padded = [background] + row + [background]
+    return np.array([
+        rule.rule_number // k ** (l * k * k + c * k + r) % k
+        for l, c, r in zip(padded, padded[1:], padded[2:])
+    ], dtype=np.uint8)
+
+
+@dataclass(frozen=True)
+class TmConfiguration:
+    """Tape (sparse map position -> color, 0 elsewhere), head position, and
+    machine state."""
+
+    tape: dict
+    head: int
+    state: int
+
+
+BLANK_TM = TmConfiguration(tape={}, head=0, state=0)
+
+
+def tm_step(cfg, rule):
+    """One Turing-machine step: read, write, move, switch state.
+
+    The rule number written in base 2*s*k has s*k digits, most significant
+    first; digit state*k + color is new_state*(2k) + new_color*2 + (0 to
+    move right, 1 to move left).
+    """
+    if rule.kind != TM:
+        raise ValueError("expected a TM rule")
+    s, k = rule.states, rule.colors
+    base = 2 * s * k
+    color = cfg.tape.get(cfg.head, 0)
+    position = s * k - 1 - (cfg.state * k + color)
+    digit = rule.rule_number // base ** position % base
+    new_state, rest = divmod(digit, 2 * k)
+    new_color, left = divmod(rest, 2)
+    tape = dict(cfg.tape)
+    if new_color:
+        tape[cfg.head] = new_color
+    else:
+        tape.pop(cfg.head, None)
+    return TmConfiguration(tape, cfg.head + (-1 if left else 1), new_state)

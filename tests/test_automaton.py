@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl import (CA, TM, RuleSpec, TmConfiguration, ca_step, evolve_ca,
-                 reached_states_sequence, state_sequence, tm_step)
+from ccl import (CA, TM, RuleSpec, evolve_ca, reached_states_sequence,
+                 state_sequence)
 from ccl.automaton import _bits_to_cells, _evolve_bits, _evolve_lookup
+from oracles import BLANK_TM, TmConfiguration, ca_step, tm_step
 
 
 def brute_evolve(rule_number, init, steps):
@@ -90,6 +91,22 @@ class TestCaStep:
         assert list(out) == [0, 0, 0]
         out = ca_step([1, 0, 1], RuleSpec.eca(204), background=1)
         assert list(out) == [1, 0, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_evolution_matches_iterated_steps(self, data):
+        colors = data.draw(st.sampled_from([2, 3]))
+        rule = RuleSpec.ca(colors, data.draw(
+            st.integers(0, colors ** colors ** 3 - 1)))
+        init = data.draw(st.lists(st.integers(0, colors - 1), min_size=1,
+                                  max_size=6))
+        steps = data.draw(st.integers(0, 25))
+        d = evolve_ca(rule, init, steps)
+        row, bg = d.cells[0], 0
+        for j in range(1, steps + 1):
+            row = ca_step(row, rule, bg)
+            bg = int(ca_step([bg] * 3, rule, bg)[1])
+            assert np.array_equal(d.cells[j], row), f"row {j}"
 
 
 class TestEvolveCa:
@@ -247,6 +264,24 @@ class TestTuringMachine:
         assert seq[0] == 1
         assert all(1 <= v <= 2 for v in seq)
         assert all(a <= b for a, b in zip(seq, seq[1:]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_runners_match_the_stepping_oracle(self, data):
+        states = data.draw(st.integers(min_value=1, max_value=3))
+        colors = data.draw(st.integers(min_value=2, max_value=3))
+        space = (2 * states * colors) ** (states * colors)
+        rule = RuleSpec.tm(states, colors,
+                           data.draw(st.integers(0, space - 1)))
+        steps = data.draw(st.integers(min_value=0, max_value=120))
+        cfg, visited = BLANK_TM, [BLANK_TM.state]
+        for _ in range(steps):
+            cfg = tm_step(cfg, rule)
+            visited.append(cfg.state)
+        assert state_sequence(rule, steps) == visited
+        assert reached_states_sequence(rule, steps) == [
+            len(set(visited[: j + 1])) for j in range(steps + 1)
+        ]
 
 
 def format_bits_to_cells(rows, width):

@@ -6,6 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from ccl import RuleSpec, cluster_1d, rank_rules, with_clusters
 from ccl.cli import main
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -71,8 +72,13 @@ def test_unknown_config_key_rejected(tmp_path):
     ("classify", {"steps": 1.7}),
     ("classify", {"colors": 11, "sample_size": 5}),
     ("transition", {"threshold": None}),
+    ("classify", {"rules": [None]}),
+    ("classify", {"ic": [None], "rules": [30]}),
+    ("classify", {"rules": [30.9]}),
+    ("classify", {"rules": [True]}),
 ], ids=["steps-null", "steps-true", "steps-float", "colors-11-sampled",
-        "threshold-null"])
+        "threshold-null", "rules-item-null", "ic-item-null",
+        "rules-item-float", "rules-item-true"])
 def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys, command,
                                                 config):
     cfg = tmp_path / "run.json"
@@ -102,6 +108,46 @@ def test_flags_override_config_file(tmp_path):
     assert manifest["parameters"]["rules"] == [30, 90]
     assert manifest["compressor"]["id"] == "deflate-l6w15s0m8"
     assert manifest["tool"] == "ccl"
+
+
+def test_full_eca_classify_uses_the_configured_ic(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"ic": [1, 0, 1, 1], "steps": 20}))
+    out = tmp_path / "out"
+    assert main(["classify", "--config", str(cfg),
+                 "--out", str(out), "--create"]) == 0
+    doc = json.loads((out / "classification.json").read_text())
+    assert doc["parameters"]["init"] == [1, 0, 1, 1]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"]["ic"] == [1, 0, 1, 1]
+    want = with_clusters(rank_rules(
+        [RuleSpec.eca(n) for n in range(256)], (1, 0, 1, 1), 20))
+    assert doc["entries"] == json.loads(want.to_json())["entries"]
+
+
+# With 30, 90, 110 the high cluster holds rule 30 alone, so only adding
+# rule 0 gives the second split something to cut; one rule has no high
+# cluster at all.
+@pytest.mark.parametrize("rules, cluster_ids", [
+    ((30,), [0]),
+    ((30, 90, 110), [0, 1]),
+    ((0, 30, 90, 110), [0, 1, 2]),
+])
+def test_rule_list_classify_splits_two_levels(tmp_path, rules, cluster_ids):
+    assert main(["classify", "--rules", ",".join(map(str, rules)),
+                 "--steps", "20", "--split-levels", "2",
+                 "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "classification.json").read_text())
+    got = {e["rule"]: e["cluster"] for e in doc["entries"]}
+    flat = with_clusters(rank_rules([RuleSpec.eca(n) for n in rules], (1,),
+                                    20))
+    high = [e for e in flat.entries if e.cluster == 1]
+    values = [e.c_compressed for e in high]
+    ids = cluster_1d(values, min(2, len(set(values)))) if values else []
+    want = {e.rule.rule_number: 0 for e in flat.entries if e.cluster == 0}
+    want.update({e.rule.rule_number: 1 + i for e, i in zip(high, ids)})
+    assert got == want
+    assert sorted(set(got.values())) == cluster_ids
 
 
 def test_outputs_identical_across_thread_counts(tmp_path):

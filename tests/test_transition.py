@@ -263,6 +263,13 @@ class TestInterestingInitialConditions:
         with pytest.raises(ValueError):
             interesting_initial_conditions(RuleSpec.eca(22), 5, 100, 3, 10)
 
+    @pytest.mark.parametrize("number", [22, 30, 73, 109])
+    def test_coefficient_is_the_sweep_coefficient(self, number):
+        rule = RuleSpec.eca(number)
+        found = interesting_initial_conditions(rule, t=60, blocks=3, m=8)
+        assert found.coefficient == transition_coefficient(
+            rule, n=7, t_block=20, blocks=3)
+
     def test_rule_22_jump_sites(self):
         found = interesting_initial_conditions(RuleSpec.eca(22), threads=4)
         assert {8, 14, 17, 20} <= set(found.ics)
