@@ -30,67 +30,94 @@ class ConfigError(Exception):
     pass
 
 
-_DEFAULTS = {
-    "classify": {
-        "colors": 2, "steps": 200, "rules": None, "sample_size": None,
-        "seed": 0, "split_levels": 1, "ic": [1],
-    },
-    "transition": {
-        "colors": 2, "rules": None, "n": 20, "t_block": 75, "blocks": 4,
-        "top": 4, "count": 10, "scan": 30, "profile_steps": 600,
-        "profile_blocks": 12, "threshold": 1.0, "seed": 0,
-    },
-    "profile": {
-        "colors": 2, "rule": None, "ic_count": 32, "steps": 150,
-        "normalize": False, "q": 3.0, "seed": 0,
-    },
-    "tm-search": {
-        "states": 2, "colors": 3, "sample_size": 1000, "steps": 200,
-        "top": 20, "seed": 0, "exhaustive": False, "budget": 100000,
-    },
-    "sample": {
-        "kind": "CA", "colors": 2, "states": 2, "sample_size": 100,
-        "seed": 0,
-    },
+class _Param:
+    """One run parameter: its default; its JSON type, named only where the
+    default is null; its least value, set only where nothing downstream
+    checks it; and the extra ``add_argument`` keywords of its flag, or
+    ``flag=False`` for a key that only a config file can set."""
+
+    def __init__(self, default, kind=None, minimum=None, flag=True,
+                 **flag_kw):
+        self.default = default
+        kind = kind or type(default)
+        self.kinds = kind if isinstance(kind, tuple) else (kind,)
+        self.minimum = minimum
+        self.flag_kw = flag_kw if flag else None
+
+
+def _table(**params):
+    return {key: p if isinstance(p, _Param) else _Param(p)
+            for key, p in params.items()}
+
+
+# One table per subcommand, in flag order; ``seed`` is shared by all five.
+# A ``rules`` value is a list of rule numbers, or a string or one number
+# parsed as on the command line.
+_SEED = _table(seed=_Param(0, metavar="U64", help="sampling seed"))
+_RULES = _Param(None, (list, str, int), help="comma-separated rule numbers")
+_PARAMS = {
+    "classify": _table(
+        rules=_RULES, steps=200, colors=2, sample_size=_Param(None, int),
+        split_levels=_Param(1, choices=(1, 2)), ic=_Param([1], flag=False),
+    ),
+    "transition": _table(
+        rules=_RULES,
+        n=_Param(20, help="initial conditions per exponent"),
+        t_block=75, blocks=4,
+        top=_Param(4, minimum=0,
+                   help="how many top rules get an interesting-IC scan"),
+        count=_Param(10, help="interesting ICs per rule"),
+        scan=_Param(30, help="ICs scanned for jumps"),
+        profile_steps=_Param(600,
+                             help="total runtime of the interesting-IC scan"),
+        profile_blocks=12, threshold=1.0, colors=_Param(2, flag=False),
+    ),
+    "profile": _table(
+        rule=_Param(None, int), ic_count=32, steps=150, normalize=False,
+        q=_Param(3.0, help="spike threshold in MADs"),
+        colors=_Param(2, flag=False),
+    ),
+    "tm-search": _table(
+        states=2, colors=3, sample_size=1000, steps=200,
+        top=_Param(20, minimum=0), exhaustive=False, budget=100000,
+    ),
+    "sample": _table(kind="CA", colors=2, states=2, sample_size=100),
 }
 
-
-# Keys whose config-file value must be a JSON integer, and those that take
-# any JSON number.  null is accepted only where the default is null (unset).
-_INT_KEYS = frozenset({
-    "colors", "states", "steps", "sample_size", "seed", "split_levels", "n",
-    "t_block", "blocks", "top", "count", "scan", "profile_steps",
-    "profile_blocks", "rule", "ic_count", "budget",
-})
-_NUMBER_KEYS = frozenset({"threshold", "q"})
+_TYPE_NAMES = {list: "a list of integers", str: "a string",
+               int: "an integer", float: "a number", bool: "true or false"}
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
+def _has_type(value, kinds):
+    """Whether a JSON value is one of ``kinds``: a bool is not a number, an
+    integer is also a float, and list items must be integers."""
+    if isinstance(value, bool):
+        return bool in kinds
+    if isinstance(value, list):
+        return list in kinds and all(_has_type(v, (int,)) for v in value)
+    if isinstance(value, int):
+        return int in kinds or float in kinds
+    return isinstance(value, kinds)
 
 
-def _check_type(key, value, default):
-    """Reject a config value of the wrong JSON type instead of coercing it
+def _check(key, value, param):
+    """Reject a value of the wrong JSON type instead of coercing it
     (``true`` or ``1.7`` for an integer key or list item, ``null`` for a
-    set one).  A ``rules`` value that is not a list is parsed as on the
-    command line."""
-    if value is None and default is None:
+    set one), or one below the key's minimum."""
+    if value is None and param.default is None:
         return
-    if key in _INT_KEYS:
-        ok, what = _is_int(value), "an integer"
-    elif key in _NUMBER_KEYS:
-        ok, what = _is_int(value) or isinstance(value, float), "a number"
-    elif key == "ic" or (key == "rules" and isinstance(value, list)):
-        ok = isinstance(value, list) and all(map(_is_int, value))
-        what = "a list of integers"
-    else:
-        return
-    if not ok:
+    if not _has_type(value, param.kinds):
+        what = " or ".join(_TYPE_NAMES[k] for k in param.kinds)
         raise ConfigError(f"{key} must be {what}, not {json.dumps(value)}")
+    if param.minimum is not None and value < param.minimum:
+        raise ConfigError(f"{key} must be >= {param.minimum}")
 
 
-def _load_config(command, path, overrides):
-    cfg = dict(_DEFAULTS[command])
+def _load_config(command, path, flags):
+    """Defaults of ``command``, then the config file, then the flags that
+    were given; every value given is checked against its key's entry."""
+    params = {**_PARAMS[command], **_SEED}
+    loaded = {}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -101,21 +128,19 @@ def _load_config(command, path, overrides):
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        for key, value in loaded.items():
-            if key not in cfg:
-                raise ConfigError(f"unknown config key {key!r} for {command}")
-            _check_type(key, value, cfg[key])
-            cfg[key] = value
-    for key, value in overrides.items():
-        if value is not None and value is not False:
-            cfg[key] = value
+    cfg = {key: param.default for key, param in params.items()}
+    given = [(key, value) for key, value in flags.items()
+             if key in params and value is not None]
+    for key, value in [*loaded.items(), *given]:
+        if key not in params:
+            raise ConfigError(f"unknown config key {key!r} for {command}")
+        _check(key, value, params[key])
+        cfg[key] = value
     return cfg
 
 
 def _parse_rules(value):
-    if value is None:
-        return None
-    if isinstance(value, list):
+    if value is None or isinstance(value, list):
         return value
     try:
         return [int(tok) for tok in str(value).split(",") if tok.strip()]
@@ -166,12 +191,12 @@ def _write_manifest(outdir, command, params, compressor):
 
 def cmd_classify(cfg, outdir, threads, compressor):
     rules = _parse_rules(cfg["rules"])
-    colors = int(cfg["colors"])
+    colors = cfg["colors"]
     if rules is not None:
         specs = [RuleSpec(CA, colors, r) for r in rules]
     elif cfg["sample_size"] is not None:
-        specs = sample_rule_space(CA, colors, 1, int(cfg["sample_size"]),
-                                  int(cfg["seed"]))
+        specs = sample_rule_space(CA, colors, 1, cfg["sample_size"],
+                                  cfg["seed"])
     elif colors == 2:
         specs = [RuleSpec.eca(r) for r in range(256)]
     else:
@@ -179,29 +204,22 @@ def cmd_classify(cfg, outdir, threads, compressor):
             f"{colors}-color space needs an explicit rule list or "
             "sample_size"
         )
-    report = _classify(specs, cfg["ic"], int(cfg["steps"]), compressor,
-                       threads, cfg["split_levels"])
+    report = _classify(specs, cfg["ic"], cfg["steps"], compressor, threads,
+                       cfg["split_levels"])
     _write(outdir, "classification.csv", report.to_csv())
     _write(outdir, "classification.json", report.to_json())
     _write(outdir, "ranking.svg", ranking_svg(report))
 
 
 def cmd_transition(cfg, outdir, threads, compressor):
-    blocks = int(cfg["blocks"])
-    n = int(cfg["n"])
-    if blocks < 2:
-        raise ConfigError("blocks must be >= 2 (a line needs two points)")
-    if n < 2:
-        raise ConfigError("n must be >= 2")
     rules = _parse_rules(cfg["rules"])
-    colors = int(cfg["colors"])
     if rules is None:
-        if colors != 2:
+        if cfg["colors"] != 2:
             raise ConfigError("non-binary sweeps need an explicit rule list")
         rules = list(range(256))
-    specs = [RuleSpec(CA, colors, r) for r in rules]
+    specs = [RuleSpec(CA, cfg["colors"], r) for r in rules]
     report = coefficient_classification(
-        specs, n, int(cfg["t_block"]), blocks, config=compressor,
+        specs, cfg["n"], cfg["t_block"], cfg["blocks"], config=compressor,
         threads=threads,
     )
     _write(outdir, "coefficients.csv", report.to_csv())
@@ -210,13 +228,12 @@ def cmd_transition(cfg, outdir, threads, compressor):
         _write(outdir, f"profile-{rec.rule.rule_number}.svg",
                transition_svg(rec))
     threshold = float(cfg["threshold"])
-    chosen = [rec.rule for rec in report.records[: int(cfg["top"])]]
+    chosen = [rec.rule for rec in report.records[: cfg["top"]]]
     results = []
     for rule in chosen:
         found = interesting_initial_conditions(
-            rule, int(cfg["count"]), int(cfg["profile_steps"]),
-            int(cfg["profile_blocks"]), int(cfg["scan"]), threshold,
-            config=compressor, threads=threads,
+            rule, cfg["count"], cfg["profile_steps"], cfg["profile_blocks"],
+            cfg["scan"], threshold, config=compressor, threads=threads,
         )
         results.append(found)
         lines = ["ic,score"]
@@ -232,9 +249,9 @@ def cmd_transition(cfg, outdir, threads, compressor):
 def cmd_profile(cfg, outdir, threads, compressor):
     if cfg["rule"] is None:
         raise ConfigError("profile needs --rule")
-    rule = RuleSpec(CA, int(cfg["colors"]), int(cfg["rule"]))
-    profile = ic_profile(rule, int(cfg["ic_count"]), int(cfg["steps"]),
-                         bool(cfg["normalize"]), compressor, threads)
+    rule = RuleSpec(CA, cfg["colors"], cfg["rule"])
+    profile = ic_profile(rule, cfg["ic_count"], cfg["steps"],
+                         cfg["normalize"], compressor, threads)
     spikes = detect_spikes(profile, float(cfg["q"]))
     lines = ["ic,length"]
     for j, value in enumerate(profile.lengths):
@@ -250,25 +267,23 @@ def cmd_profile(cfg, outdir, threads, compressor):
 
 
 def cmd_tm_search(cfg, outdir, threads, compressor):
-    states = int(cfg["states"])
-    colors = int(cfg["colors"])
-    steps = int(cfg["steps"])
+    states, colors = cfg["states"], cfg["colors"]
     space = RuleSpec(TM, colors, 0, states).space_size
     if cfg["exhaustive"]:
-        if space > int(cfg["budget"]):
+        if space > cfg["budget"]:
             raise ConfigError(
                 f"exhaustive search over {space} machines exceeds the "
                 f"budget of {cfg['budget']}"
             )
         specs = [RuleSpec(TM, colors, r, states) for r in range(space)]
     else:
-        specs = sample_rule_space(TM, colors, states,
-                                  int(cfg["sample_size"]), int(cfg["seed"]))
-    estimates = [tm_complexity(r, steps, compressor) for r in specs]
+        specs = sample_rule_space(TM, colors, states, cfg["sample_size"],
+                                  cfg["seed"])
+    estimates = [tm_complexity(r, cfg["steps"], compressor) for r in specs]
     ranked = sorted(
         zip(specs, estimates),
         key=lambda p: (-p[1].compressed_length, p[0].rule_number),
-    )[: int(cfg["top"])]
+    )[: cfg["top"]]
     lines = ["rule,states,colors,c_raw,c_compressed"]
     for rule, est in ranked:
         lines.append(f"{rule.rule_number},{rule.states},{rule.colors},"
@@ -277,28 +292,44 @@ def cmd_tm_search(cfg, outdir, threads, compressor):
 
 
 def cmd_sample(cfg, outdir, threads, compressor):
-    kind = str(cfg["kind"]).upper()
+    kind = cfg["kind"].upper()
     if kind not in (CA, TM):
         raise ConfigError(f"kind must be CA or TM, not {cfg['kind']!r}")
-    specs = sample_rule_space(kind, int(cfg["colors"]), int(cfg["states"]),
-                              int(cfg["sample_size"]), int(cfg["seed"]))
+    specs = sample_rule_space(kind, cfg["colors"], cfg["states"],
+                              cfg["sample_size"], cfg["seed"])
     doc = {
         "kind": kind,
-        "colors": int(cfg["colors"]),
+        "colors": cfg["colors"],
         "states": specs[0].states,
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
         "rules": [r.rule_number for r in specs],
     }
     _write(outdir, "rules.json", json.dumps(doc, indent=2) + "\n")
 
 
 _COMMANDS = {
-    "classify": cmd_classify,
-    "transition": cmd_transition,
-    "profile": cmd_profile,
-    "tm-search": cmd_tm_search,
-    "sample": cmd_sample,
+    "classify": (cmd_classify, "rank a rule space by compressed length"),
+    "transition": (cmd_transition, "transition-coefficient sweep"),
+    "profile": (cmd_profile, "compressed-length profile of one rule"),
+    "tm-search": (cmd_tm_search, "rank sampled Turing machines by "
+                                 "state-reach complexity"),
+    "sample": (cmd_sample, "draw a seeded rule sample"),
 }
+
+
+def _add_flags(parser, params):
+    """One ``--key-with-dashes`` flag per parameter that has one: a switch
+    for a bool, else a value of the parameter's type."""
+    for key, param in params.items():
+        if param.flag_kw is None:
+            continue
+        kw = dict(param.flag_kw)
+        kind = param.kinds[0]
+        if kind is bool:
+            kw.update(action="store_true", default=None)
+        elif kind in (int, float):
+            kw["type"] = kind
+        parser.add_argument("--" + key.replace("_", "-"), **kw)
 
 
 def _build_parser():
@@ -309,8 +340,7 @@ def _build_parser():
                         help="output directory (default: current)")
     common.add_argument("--create", action="store_true",
                         help="create the output directory if missing")
-    common.add_argument("--seed", type=int, metavar="U64",
-                        help="sampling seed")
+    _add_flags(common, _SEED)
     common.add_argument("--threads", type=int, metavar="N",
                         help="worker threads (or env CCL_THREADS; default 1)")
 
@@ -322,81 +352,23 @@ def _build_parser():
     parser.add_argument("--version", action="version",
                         version=f"ccl {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="rank a rule space by compressed length")
-    p.add_argument("--rules", help="comma-separated rule numbers")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--colors", type=int)
-    p.add_argument("--sample-size", type=int, dest="sample_size")
-    p.add_argument("--split-levels", type=int, dest="split_levels",
-                   choices=(1, 2))
-
-    p = sub.add_parser("transition", parents=[common],
-                       help="transition-coefficient sweep")
-    p.add_argument("--rules", help="comma-separated rule numbers")
-    p.add_argument("--n", type=int, help="initial conditions per exponent")
-    p.add_argument("--t-block", type=int, dest="t_block")
-    p.add_argument("--blocks", type=int)
-    p.add_argument("--top", type=int,
-                   help="how many top rules get an interesting-IC scan")
-    p.add_argument("--count", type=int, help="interesting ICs per rule")
-    p.add_argument("--scan", type=int, help="ICs scanned for jumps")
-    p.add_argument("--profile-steps", type=int, dest="profile_steps",
-                   help="total runtime of the interesting-IC scan")
-    p.add_argument("--profile-blocks", type=int, dest="profile_blocks")
-    p.add_argument("--threshold", type=float)
-
-    p = sub.add_parser("profile", parents=[common],
-                       help="compressed-length profile of one rule")
-    p.add_argument("--rule", type=int)
-    p.add_argument("--ic-count", type=int, dest="ic_count")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--q", type=float, help="spike threshold in MADs")
-
-    p = sub.add_parser("tm-search", parents=[common],
-                       help="rank sampled Turing machines by state-reach "
-                            "complexity")
-    p.add_argument("--states", type=int)
-    p.add_argument("--colors", type=int)
-    p.add_argument("--sample-size", type=int, dest="sample_size")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--top", type=int)
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--budget", type=int)
-
-    p = sub.add_parser("sample", parents=[common],
-                       help="draw a seeded rule sample")
-    p.add_argument("--kind")
-    p.add_argument("--colors", type=int)
-    p.add_argument("--states", type=int)
-    p.add_argument("--sample-size", type=int, dest="sample_size")
-
+    for command, (_, text) in _COMMANDS.items():
+        _add_flags(sub.add_parser(command, parents=[common], help=text),
+                   _PARAMS[command])
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
-    overrides = {
-        key: value
-        for key, value in vars(args).items()
-        if key in _DEFAULTS[command]
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(command, args.config, overrides)
+        cfg = _load_config(args.command, args.config, vars(args))
         threads = _resolve_threads(args.threads)
         compressor = DEFAULT_COMPRESSOR
         _ensure_outdir(args.out, args.create)
-        _COMMANDS[command](cfg, args.out, threads, compressor)
+        _COMMANDS[args.command][0](cfg, args.out, threads, compressor)
         compressor.save(os.path.join(args.out, "compressor.cfg"))
-        _write_manifest(args.out, command, cfg, compressor)
-    except ConfigError as exc:
-        print(f"ccl: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+        _write_manifest(args.out, args.command, cfg, compressor)
+    except (ConfigError, ValueError) as exc:
         print(f"ccl: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -124,6 +124,8 @@ def _exponents(table, divisors, reduce="mean"):
     consecutive initial conditions, columns: runtime blocks): the mean
     (or, with ``reduce="max"``, the largest) absolute difference between
     successive rows, divided by that column's divisor."""
+    if reduce not in ("mean", "max"):
+        raise ValueError("reduce must be 'mean' or 'max'")
     out = []
     for b, divisor in enumerate(divisors):
         diffs = [abs(hi[b] - lo[b]) for lo, hi in zip(table, table[1:])]
@@ -191,8 +193,6 @@ def characteristic_exponent(rule, n, steps, include_zero=False,
         raise ValueError("need at least two initial conditions")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if reduce not in ("mean", "max"):
-        raise ValueError("reduce must be 'mean' or 'max'")
     if normalize not in ("t", "volume"):
         raise ValueError("normalize must be 't' or 'volume'")
     numbers = list(range(0, n)) if include_zero else list(range(1, n + 1))

@@ -11,6 +11,36 @@ from ccl.cli import main
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
+# Every config key of every subcommand with its default, as manifest.json
+# records it.
+DEFAULTS = {
+    "classify": {"colors": 2, "ic": [1], "rules": None, "sample_size": None,
+                 "seed": 0, "split_levels": 1, "steps": 200},
+    "transition": {"blocks": 4, "colors": 2, "count": 10, "n": 20,
+                   "profile_blocks": 12, "profile_steps": 600,
+                   "rules": None, "scan": 30, "seed": 0, "t_block": 75,
+                   "threshold": 1.0, "top": 4},
+    "profile": {"colors": 2, "ic_count": 32, "normalize": False, "q": 3.0,
+                "rule": None, "seed": 0, "steps": 150},
+    "tm-search": {"budget": 100000, "colors": 3, "exhaustive": False,
+                  "sample_size": 1000, "seed": 0, "states": 2, "steps": 200,
+                  "top": 20},
+    "sample": {"colors": 2, "kind": "CA", "sample_size": 100, "seed": 0,
+               "states": 2},
+}
+
+# A small config of each subcommand that runs; one bad key added to it must
+# be the only reason a run fails.
+SMALL = {
+    "classify": {"rules": [30], "steps": 10},
+    "transition": {"rules": [22], "n": 3, "t_block": 10, "blocks": 2,
+                   "top": 1, "count": 2, "scan": 4, "profile_steps": 20,
+                   "profile_blocks": 2},
+    "profile": {"rule": 22, "ic_count": 4, "steps": 20},
+    "tm-search": {"states": 1, "colors": 2, "sample_size": 5, "steps": 20},
+    "sample": {"sample_size": 5},
+}
+
 
 def read_tree(root):
     return {
@@ -76,9 +106,15 @@ def test_unknown_config_key_rejected(tmp_path):
     ("classify", {"ic": [None], "rules": [30]}),
     ("classify", {"rules": [30.9]}),
     ("classify", {"rules": [True]}),
+    ("profile", {**SMALL["profile"], "normalize": "no"}),
+    ("tm-search", {**SMALL["tm-search"], "exhaustive": "false"}),
+    ("transition", {**SMALL["transition"], "top": -1}),
+    ("tm-search", {**SMALL["tm-search"], "top": -1}),
 ], ids=["steps-null", "steps-true", "steps-float", "colors-11-sampled",
         "threshold-null", "rules-item-null", "ic-item-null",
-        "rules-item-float", "rules-item-true"])
+        "rules-item-float", "rules-item-true", "normalize-string",
+        "exhaustive-string", "transition-top-negative",
+        "tm-search-top-negative"])
 def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys, command,
                                                 config):
     cfg = tmp_path / "run.json"
@@ -87,6 +123,112 @@ def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys, command,
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ccl: ") and err.count("\n") == 1
+
+
+def _wrong_type_cases():
+    """(command, key, value) for each value among null, true, 1.7, "x" and
+    {} that does not have the key's JSON type.  "x" is kept for the string
+    keys too: it is no rule list and no machine kind."""
+    for command, params in DEFAULTS.items():
+        for key, default in params.items():
+            for value in (None, True, 1.7, "x", {}):
+                if value is None and default is None:
+                    continue
+                if value is True and isinstance(default, bool):
+                    continue
+                if value == 1.7 and isinstance(default, float):
+                    continue
+                label = json.dumps(value).strip('"')
+                yield pytest.param(command, key, value,
+                                   id=f"{command}-{key}-{label}")
+
+
+@pytest.mark.parametrize("command", list(SMALL))
+def test_small_configs_run(tmp_path, command):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(SMALL[command]))
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("command, key, value", _wrong_type_cases())
+def test_every_key_rejects_a_wrong_json_type(tmp_path, capsys, command, key,
+                                             value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**SMALL[command], key: value}))
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ccl: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["tm-search", "--sample-size", "5", "--top", "-1"],
+    ["transition", "--rules", "22,30,90", "--top", "-1"],
+    ["transition", "--rules", "22", "--blocks", "1"],
+    ["transition", "--rules", "22", "--n", "1"],
+], ids=["tm-search-top", "transition-top", "transition-blocks",
+        "transition-n"])
+def test_bad_flag_values_exit_2_before_writing(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ccl: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, given", [
+    (["classify", "--rules", "30,90", "--steps", "20", "--split-levels",
+      "2", "--seed", "3"],
+     {"rules": "30,90", "steps": 20, "split_levels": 2, "seed": 3}),
+    (["transition", "--rules", "22", "--n", "3", "--t-block", "10",
+      "--blocks", "2", "--top", "1", "--count", "2", "--scan", "4",
+      "--profile-steps", "20", "--profile-blocks", "2", "--threshold", "2"],
+     {"rules": "22", "n": 3, "t_block": 10, "blocks": 2, "top": 1,
+      "count": 2, "scan": 4, "profile_steps": 20, "profile_blocks": 2,
+      "threshold": 2.0}),
+    (["profile", "--rule", "22", "--ic-count", "4", "--steps", "20",
+      "--normalize", "--q", "2"],
+     {"rule": 22, "ic_count": 4, "steps": 20, "normalize": True, "q": 2.0}),
+    (["tm-search", "--states", "1", "--colors", "2", "--sample-size", "5",
+      "--steps", "20", "--top", "3", "--exhaustive", "--budget", "50"],
+     {"states": 1, "colors": 2, "sample_size": 5, "steps": 20, "top": 3,
+      "exhaustive": True, "budget": 50}),
+    (["sample", "--kind", "TM", "--colors", "3", "--states", "1",
+      "--sample-size", "5", "--seed", "2"],
+     {"kind": "TM", "colors": 3, "states": 1, "sample_size": 5, "seed": 2}),
+], ids=list(DEFAULTS))
+def test_manifest_records_every_parameter(tmp_path, argv, given):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["parameters"] == {**DEFAULTS[argv[0]], **given}
+
+
+COMMON_OPTIONS = ["-h", "--help", "--config", "--out", "--create", "--seed",
+                  "--threads"]
+
+
+@pytest.mark.parametrize("command, options", [
+    ("classify", ["--rules", "--steps", "--colors", "--sample-size",
+                  "--split-levels"]),
+    ("transition", ["--rules", "--n", "--t-block", "--blocks", "--top",
+                    "--count", "--scan", "--profile-steps",
+                    "--profile-blocks", "--threshold"]),
+    ("profile", ["--rule", "--ic-count", "--steps", "--normalize", "--q"]),
+    ("tm-search", ["--states", "--colors", "--sample-size", "--steps",
+                   "--top", "--exhaustive", "--budget"]),
+    ("sample", ["--kind", "--colors", "--states", "--sample-size"]),
+])
+def test_help_lists_the_options(capsys, command, options):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = []
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  -"):
+            invocation = line.strip().split("  ")[0]
+            listed += [part.split()[0] for part in invocation.split(", ")]
+    assert listed == COMMON_OPTIONS + options
 
 
 def test_null_accepted_where_the_default_is_unset(tmp_path):

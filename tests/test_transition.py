@@ -188,6 +188,11 @@ class TestTransitionSequence:
         with pytest.raises(ValueError):
             transition_sequence(RuleSpec.eca(22), 4, 20, 1)
 
+    def test_rejects_an_unknown_reduce(self):
+        # "median" must not fall through to the mean ([0.45, 0.275]).
+        with pytest.raises(ValueError):
+            transition_sequence(RuleSpec.eca(22), 3, 10, 2, reduce="median")
+
     def test_stub_free_zero_composition(self):
         # a system whose lengths ignore the initial condition has an
         # identically zero sequence and coefficient, with no tolerance.
