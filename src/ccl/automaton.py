@@ -10,7 +10,6 @@ neighborhood to a nonzero color -- free of artificial boundary wedges.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -195,7 +194,6 @@ def evolve_ca(rule, init, steps, width=None):
     return SpaceTimeDiagram(width, grid)
 
 
-@lru_cache(maxsize=4096)
 def _tm_table(rule):
     """Decode a TM rule number into a tuple of (new_state, new_color, move)
     actions indexed by state*k + color.

@@ -2,10 +2,10 @@
 sweeps, per-rule profiles, and Turing-machine searches, driven by flags
 and/or a JSON config file.
 
-Every run drops a manifest.json beside its reports recording the exact
-parameters and compressor pin; rerunning with the same config and seed
-reproduces every output file byte for byte regardless of thread count.
-Exit codes: 0 success, 2 invalid configuration, 3 I/O failure.
+Each subcommand returns its report texts and one writer lands them, with
+manifest.json (exact parameters and compressor pin) last; rerunning with the
+same config and seed reproduces every output byte regardless of thread
+count.  Exit codes: 0 success, 2 invalid configuration, 3 I/O failure.
 """
 
 import argparse
@@ -171,25 +171,22 @@ def _ensure_outdir(path, create):
         os.makedirs(path, exist_ok=True)
 
 
-def _write(outdir, name, text):
-    with open(os.path.join(outdir, name), "w", encoding="utf-8",
-              newline="") as fh:
-        fh.write(text)
+def _write(outdir, files):
+    """Land ``files`` (name -> text) in ``outdir`` in order, each written to a
+    temporary name and then renamed into place."""
+    for name, text in files.items():
+        path = os.path.join(outdir, name)
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            if os.path.lexists(tmp):
+                os.remove(tmp)
 
 
-def _write_manifest(outdir, command, params, compressor):
-    doc = {
-        "tool": "ccl",
-        "version": __version__,
-        "command": command,
-        "parameters": params,
-        "compressor": compressor.as_dict(),
-    }
-    _write(outdir, "manifest.json", json.dumps(doc, indent=2,
-                                               sort_keys=True) + "\n")
-
-
-def cmd_classify(cfg, outdir, threads, compressor):
+def cmd_classify(cfg, threads):
     rules = _parse_rules(cfg["rules"])
     colors = cfg["colors"]
     if rules is not None:
@@ -204,14 +201,14 @@ def cmd_classify(cfg, outdir, threads, compressor):
             f"{colors}-color space needs an explicit rule list or "
             "sample_size"
         )
-    report = _classify(specs, cfg["ic"], cfg["steps"], compressor, threads,
-                       cfg["split_levels"])
-    _write(outdir, "classification.csv", report.to_csv())
-    _write(outdir, "classification.json", report.to_json())
-    _write(outdir, "ranking.svg", ranking_svg(report))
+    report = _classify(specs, cfg["ic"], cfg["steps"], DEFAULT_COMPRESSOR,
+                       threads, cfg["split_levels"])
+    return {"classification.csv": report.to_csv(),
+            "classification.json": report.to_json(),
+            "ranking.svg": ranking_svg(report)}
 
 
-def cmd_transition(cfg, outdir, threads, compressor):
+def cmd_transition(cfg, threads):
     rules = _parse_rules(cfg["rules"])
     if rules is None:
         if cfg["colors"] != 2:
@@ -219,54 +216,54 @@ def cmd_transition(cfg, outdir, threads, compressor):
         rules = list(range(256))
     specs = [RuleSpec(CA, cfg["colors"], r) for r in rules]
     report = coefficient_classification(
-        specs, cfg["n"], cfg["t_block"], cfg["blocks"], config=compressor,
-        threads=threads,
+        specs, cfg["n"], cfg["t_block"], cfg["blocks"], threads=threads,
     )
-    _write(outdir, "coefficients.csv", report.to_csv())
-    _write(outdir, "coefficients.json", report.to_json())
+    files = {"coefficients.csv": report.to_csv(),
+             "coefficients.json": report.to_json()}
     for rec in report.records:
-        _write(outdir, f"profile-{rec.rule.rule_number}.svg",
-               transition_svg(rec))
+        files[f"profile-{rec.rule.rule_number}.svg"] = transition_svg(rec)
     threshold = float(cfg["threshold"])
     chosen = [rec.rule for rec in report.records[: cfg["top"]]]
     results = []
     for rule in chosen:
         found = interesting_initial_conditions(
             rule, cfg["count"], cfg["profile_steps"], cfg["profile_blocks"],
-            cfg["scan"], threshold, config=compressor, threads=threads,
+            cfg["scan"], threshold, threads=threads,
         )
         results.append(found)
         lines = ["ic,score"]
         for j, score in enumerate(found.profile):
             lines.append(f"{j},{format(score, '.12g')}")
-        _write(outdir, f"profile-{rule.rule_number}.csv",
-               "\n".join(lines) + "\n")
-    _write(outdir, "interesting_ics.json", json.dumps(
+        files[f"profile-{rule.rule_number}.csv"] = "\n".join(lines) + "\n"
+    files["interesting_ics.json"] = json.dumps(
         {"threshold": threshold, "rules": [f.to_dict() for f in results]},
-        indent=2) + "\n")
+        indent=2) + "\n"
+    return files
 
 
-def cmd_profile(cfg, outdir, threads, compressor):
+def cmd_profile(cfg, threads):
     if cfg["rule"] is None:
         raise ConfigError("profile needs --rule")
     rule = RuleSpec(CA, cfg["colors"], cfg["rule"])
     profile = ic_profile(rule, cfg["ic_count"], cfg["steps"],
-                         cfg["normalize"], compressor, threads)
+                         cfg["normalize"], threads=threads)
     spikes = detect_spikes(profile, float(cfg["q"]))
     lines = ["ic,length"]
     for j, value in enumerate(profile.lengths):
         cell = format(value, ".12g") if profile.normalized else str(value)
         lines.append(f"{j},{cell}")
-    _write(outdir, f"profile-{rule.rule_number}.csv", "\n".join(lines) + "\n")
-    _write(outdir, f"profile-{rule.rule_number}.svg",
-           profile_svg(profile, f"rule {rule.rule_number} profile "
-                                f"(t={profile.steps})", spikes))
-    _write(outdir, "spikes.json", json.dumps(
-        {"rule": rule.rule_number, "q": float(cfg["q"]), "spikes": spikes},
-        indent=2) + "\n")
+    return {
+        f"profile-{rule.rule_number}.csv": "\n".join(lines) + "\n",
+        f"profile-{rule.rule_number}.svg": profile_svg(
+            profile, f"rule {rule.rule_number} profile (t={profile.steps})",
+            spikes),
+        "spikes.json": json.dumps(
+            {"rule": rule.rule_number, "q": float(cfg["q"]),
+             "spikes": spikes}, indent=2) + "\n",
+    }
 
 
-def cmd_tm_search(cfg, outdir, threads, compressor):
+def cmd_tm_search(cfg, threads):
     states, colors = cfg["states"], cfg["colors"]
     space = RuleSpec(TM, colors, 0, states).space_size
     if cfg["exhaustive"]:
@@ -279,7 +276,7 @@ def cmd_tm_search(cfg, outdir, threads, compressor):
     else:
         specs = sample_rule_space(TM, colors, states, cfg["sample_size"],
                                   cfg["seed"])
-    estimates = [tm_complexity(r, cfg["steps"], compressor) for r in specs]
+    estimates = [tm_complexity(r, cfg["steps"]) for r in specs]
     ranked = sorted(
         zip(specs, estimates),
         key=lambda p: (-p[1].compressed_length, p[0].rule_number),
@@ -288,10 +285,10 @@ def cmd_tm_search(cfg, outdir, threads, compressor):
     for rule, est in ranked:
         lines.append(f"{rule.rule_number},{rule.states},{rule.colors},"
                      f"{est.raw_length},{est.compressed_length}")
-    _write(outdir, "tm_top.csv", "\n".join(lines) + "\n")
+    return {"tm_top.csv": "\n".join(lines) + "\n"}
 
 
-def cmd_sample(cfg, outdir, threads, compressor):
+def cmd_sample(cfg, threads):
     kind = cfg["kind"].upper()
     if kind not in (CA, TM):
         raise ConfigError(f"kind must be CA or TM, not {cfg['kind']!r}")
@@ -304,7 +301,7 @@ def cmd_sample(cfg, outdir, threads, compressor):
         "seed": cfg["seed"],
         "rules": [r.rule_number for r in specs],
     }
-    _write(outdir, "rules.json", json.dumps(doc, indent=2) + "\n")
+    return {"rules.json": json.dumps(doc, indent=2) + "\n"}
 
 
 _COMMANDS = {
@@ -363,11 +360,14 @@ def main(argv=None):
     try:
         cfg = _load_config(args.command, args.config, vars(args))
         threads = _resolve_threads(args.threads)
-        compressor = DEFAULT_COMPRESSOR
         _ensure_outdir(args.out, args.create)
-        _COMMANDS[args.command][0](cfg, args.out, threads, compressor)
-        compressor.save(os.path.join(args.out, "compressor.cfg"))
-        _write_manifest(args.out, args.command, cfg, compressor)
+        files = _COMMANDS[args.command][0](cfg, threads)
+        files["compressor.cfg"] = DEFAULT_COMPRESSOR.to_text()
+        files["manifest.json"] = json.dumps({
+            "tool": "ccl", "version": __version__, "command": args.command,
+            "parameters": cfg, "compressor": DEFAULT_COMPRESSOR.as_dict(),
+        }, indent=2, sort_keys=True) + "\n"
+        _write(args.out, files)
     except (ConfigError, ValueError) as exc:
         print(f"ccl: {exc}", file=sys.stderr)
         return EXIT_CONFIG

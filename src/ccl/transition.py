@@ -286,8 +286,8 @@ def interesting_initial_conditions(rule, count=10, t=600, blocks=12, m=30,
         raise ValueError("need at least three initial conditions to rank")
     if blocks < 2:
         raise ValueError("need at least two blocks")
-    if t % blocks:
-        raise ValueError("t must be a multiple of blocks")
+    if t < blocks or t % blocks:
+        raise ValueError("t must be a positive multiple of blocks")
     t_block = t // blocks
     width = _window_width(range(m), t)
     per_ic = _parallel_map(

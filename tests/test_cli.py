@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccl import RuleSpec, cluster_1d, rank_rules, with_clusters
 from ccl.cli import main
@@ -40,6 +46,19 @@ SMALL = {
     "tm-search": {"states": 1, "colors": 2, "sample_size": 5, "steps": 20},
     "sample": {"sample_size": 5},
 }
+
+
+def flags(config):
+    """The command-line flags that set each key of ``config``."""
+    argv = []
+    for key, value in config.items():
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    return argv
+
+
+SMALL_TRANSITION = ["transition", *flags(SMALL["transition"])]
 
 
 def read_tree(root):
@@ -167,13 +186,101 @@ def test_every_key_rejects_a_wrong_json_type(tmp_path, capsys, command, key,
     ["transition", "--rules", "22,30,90", "--top", "-1"],
     ["transition", "--rules", "22", "--blocks", "1"],
     ["transition", "--rules", "22", "--n", "1"],
+    [*SMALL_TRANSITION, "--count", "0"],
+    [*SMALL_TRANSITION, "--profile-steps", "21"],
+    [*SMALL_TRANSITION, "--profile-steps", "0"],
 ], ids=["tm-search-top", "transition-top", "transition-blocks",
-        "transition-n"])
+        "transition-n", "transition-count-0", "transition-profile-steps-21",
+        "transition-profile-steps-0"])
 def test_bad_flag_values_exit_2_before_writing(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ccl: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def _json_value(default):
+    """Mostly a value of the JSON type of ``default`` in a small range, so
+    that most runs reach the computation; now and then one of another
+    type."""
+    if isinstance(default, bool):
+        fitting = st.booleans()
+    elif isinstance(default, float):
+        fitting = st.sampled_from([-1.0, 0.0, 0.5, 3.0])
+    elif isinstance(default, str):
+        fitting = st.sampled_from(["CA", "TM", "tm", "x"])
+    elif isinstance(default, list):
+        fitting = st.lists(st.integers(-2, 6), max_size=3)
+    elif default is None:
+        fitting = st.integers(-2, 6) | st.lists(st.integers(-2, 6),
+                                                min_size=1, max_size=3)
+    else:
+        fitting = st.integers(-2, 6)
+    return st.one_of(fitting, fitting, fitting,
+                     st.sampled_from([None, 1.5, "x", {}]))
+
+
+@st.composite
+def _configs(draw):
+    command = draw(st.sampled_from(list(SMALL)))
+    keys = draw(st.lists(st.sampled_from(sorted(DEFAULTS[command])),
+                         max_size=3, unique=True))
+    config = dict(SMALL[command])
+    for key in keys:
+        config[key] = draw(_json_value(DEFAULTS[command][key]))
+    if draw(st.integers(0, 9)) == 0:
+        config["bogus"] = 1
+    return command, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(_configs())
+def test_any_config_exits_cleanly_and_writes_all_or_nothing(run):
+    command, config = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "run.json"), os.path.join(tmp, "out")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        os.mkdir(out)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", cfg, "--out", out])
+        written = os.listdir(out)
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+        assert "manifest.json" in written
+    else:
+        assert err.getvalue().startswith("ccl: ")
+        assert err.getvalue().count("\n") == 1
+        assert written == []
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
+    (tmp_path / "ranking.svg").mkdir()
+    assert main(["classify", "--rules", "30", "--steps", "10",
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ccl: ") and err.count("\n") == 1
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "classification.csv", "classification.json", "ranking.svg"}
+
+
+def test_manifest_is_written_last(tmp_path, monkeypatch):
+    landed = []
+    replace = os.replace
+
+    def recording_replace(src, dst):
+        replace(src, dst)
+        landed.append(os.path.basename(dst))
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    assert main([*SMALL_TRANSITION, "--out", str(tmp_path)]) == 0
+    assert landed == [
+        "coefficients.csv", "coefficients.json", "profile-22.svg",
+        "profile-22.csv", "interesting_ics.json", "compressor.cfg",
+        "manifest.json"]
+    assert sorted(landed) == sorted(p.name for p in tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv, given", [

@@ -268,6 +268,11 @@ class TestInterestingInitialConditions:
         with pytest.raises(ValueError):
             interesting_initial_conditions(RuleSpec.eca(22), 5, 100, 3, 10)
 
+    @pytest.mark.parametrize("t", [0, -4])
+    def test_runtime_must_be_positive(self, t):
+        with pytest.raises(ValueError, match="positive multiple"):
+            interesting_initial_conditions(RuleSpec.eca(22), t=t, blocks=2)
+
     @pytest.mark.parametrize("number", [22, 30, 73, 109])
     def test_coefficient_is_the_sweep_coefficient(self, number):
         rule = RuleSpec.eca(number)
