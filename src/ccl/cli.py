@@ -10,6 +10,7 @@ count.  Exit codes: 0 success, 2 invalid configuration, 3 I/O failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -18,8 +19,9 @@ from .automaton import CA, TM, RuleSpec
 from .classify import _classify, sample_rule_space
 from .complexity import DEFAULT_COMPRESSOR, tm_complexity
 from .svgplot import profile_svg, ranking_svg, transition_svg
-from .transition import (coefficient_classification, detect_spikes,
-                         ic_profile, interesting_initial_conditions)
+from .transition import (_scan_block, coefficient_classification,
+                         detect_spikes, ic_profile,
+                         interesting_initial_conditions)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -33,8 +35,8 @@ class ConfigError(Exception):
 class _Param:
     """One run parameter: its default; its JSON type, named only where the
     default is null; its least value, set only where nothing downstream
-    checks it; and the extra ``add_argument`` keywords of its flag, or
-    ``flag=False`` for a key that only a config file can set."""
+    checks it before the work; and the extra ``add_argument`` keywords of
+    its flag, or ``flag=False`` for a key that only a config file can set."""
 
     def __init__(self, default, kind=None, minimum=None, flag=True,
                  **flag_kw):
@@ -74,7 +76,7 @@ _PARAMS = {
     ),
     "profile": _table(
         rule=_Param(None, int), ic_count=32, steps=150, normalize=False,
-        q=_Param(3.0, help="spike threshold in MADs"),
+        q=_Param(3.0, minimum=0, help="spike threshold in MADs"),
         colors=_Param(2, flag=False),
     ),
     "tm-search": _table(
@@ -103,12 +105,14 @@ def _has_type(value, kinds):
 def _check(key, value, param):
     """Reject a value of the wrong JSON type instead of coercing it
     (``true`` or ``1.7`` for an integer key or list item, ``null`` for a
-    set one), or one below the key's minimum."""
+    set one), a non-finite number, or one below the key's minimum."""
     if value is None and param.default is None:
         return
     if not _has_type(value, param.kinds):
         what = " or ".join(_TYPE_NAMES[k] for k in param.kinds)
         raise ConfigError(f"{key} must be {what}, not {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, not {json.dumps(value)}")
     if param.minimum is not None and value < param.minimum:
         raise ConfigError(f"{key} must be >= {param.minimum}")
 
@@ -164,16 +168,10 @@ def _resolve_threads(flag_value):
     return value
 
 
-def _ensure_outdir(path, create):
-    if not os.path.isdir(path):
-        if not create:
-            raise OSError(f"output directory does not exist: {path}")
-        os.makedirs(path, exist_ok=True)
-
-
 def _write(outdir, files):
-    """Land ``files`` (name -> text) in ``outdir`` in order, each written to a
-    temporary name and then renamed into place."""
+    """Land ``files`` (name -> text) in ``outdir``, created if missing, in
+    order, each written to a temporary name and then renamed into place."""
+    os.makedirs(outdir, exist_ok=True)
     for name, text in files.items():
         path = os.path.join(outdir, name)
         tmp = path + ".tmp"
@@ -184,6 +182,12 @@ def _write(outdir, files):
         finally:
             if os.path.lexists(tmp):
                 os.remove(tmp)
+
+
+def _per_ic_csv(column, values):
+    """One ``ic,<column>`` row per initial-condition number 0, 1, ..."""
+    rows = [f"{j},{format(v, '.12g')}\n" for j, v in enumerate(values)]
+    return f"ic,{column}\n" + "".join(rows)
 
 
 def cmd_classify(cfg, threads):
@@ -215,6 +219,9 @@ def cmd_transition(cfg, threads):
             raise ConfigError("non-binary sweeps need an explicit rule list")
         rules = list(range(256))
     specs = [RuleSpec(CA, cfg["colors"], r) for r in rules]
+    # The scan's checks run before the sweep, which can take seconds.
+    _scan_block(cfg["count"], cfg["profile_steps"], cfg["profile_blocks"],
+                cfg["scan"])
     report = coefficient_classification(
         specs, cfg["n"], cfg["t_block"], cfg["blocks"], threads=threads,
     )
@@ -231,10 +238,8 @@ def cmd_transition(cfg, threads):
             cfg["scan"], threshold, threads=threads,
         )
         results.append(found)
-        lines = ["ic,score"]
-        for j, score in enumerate(found.profile):
-            lines.append(f"{j},{format(score, '.12g')}")
-        files[f"profile-{rule.rule_number}.csv"] = "\n".join(lines) + "\n"
+        files[f"profile-{rule.rule_number}.csv"] = _per_ic_csv(
+            "score", found.profile)
     files["interesting_ics.json"] = json.dumps(
         {"threshold": threshold, "rules": [f.to_dict() for f in results]},
         indent=2) + "\n"
@@ -248,12 +253,9 @@ def cmd_profile(cfg, threads):
     profile = ic_profile(rule, cfg["ic_count"], cfg["steps"],
                          cfg["normalize"], threads=threads)
     spikes = detect_spikes(profile, float(cfg["q"]))
-    lines = ["ic,length"]
-    for j, value in enumerate(profile.lengths):
-        cell = format(value, ".12g") if profile.normalized else str(value)
-        lines.append(f"{j},{cell}")
     return {
-        f"profile-{rule.rule_number}.csv": "\n".join(lines) + "\n",
+        f"profile-{rule.rule_number}.csv": _per_ic_csv("length",
+                                                       profile.lengths),
         f"profile-{rule.rule_number}.svg": profile_svg(
             profile, f"rule {rule.rule_number} profile (t={profile.steps})",
             spikes),
@@ -360,7 +362,8 @@ def main(argv=None):
     try:
         cfg = _load_config(args.command, args.config, vars(args))
         threads = _resolve_threads(args.threads)
-        _ensure_outdir(args.out, args.create)
+        if not (args.create or os.path.isdir(args.out)):
+            raise OSError(f"output directory does not exist: {args.out}")
         files = _COMMANDS[args.command][0](cfg, threads)
         files["compressor.cfg"] = DEFAULT_COMPRESSOR.to_text()
         files["manifest.json"] = json.dumps({

@@ -31,10 +31,11 @@ class CompressorConfig:
     strategy: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.level <= 9:
-            raise ValueError("level must be in 0..9")
-        if not -15 <= self.window_bits <= -9:
-            raise ValueError("window_bits must be in -15..-9 (raw stream)")
+        # The ranges zlib accepts; window_bits is negative for a raw stream.
+        for name, low, high in (("level", 0, 9), ("window_bits", -15, -9),
+                                ("mem_level", 1, 9), ("strategy", 0, 4)):
+            if not low <= getattr(self, name) <= high:
+                raise ValueError(f"{name} must be in {low}..{high}")
 
     @property
     def config_id(self):
@@ -68,8 +69,10 @@ class CompressorConfig:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = int(value.strip())
+            key, _, value = map(str.strip, line.partition("="))
+            if key not in cls.__dataclass_fields__:
+                raise ValueError(f"unknown compressor parameter {key!r}")
+            fields[key] = int(value)
         return cls(**fields)
 
     def save(self, path):

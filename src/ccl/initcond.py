@@ -77,8 +77,8 @@ def initial_condition_number(ic):
         raise ValueError("initial condition must be non-empty")
     if cells == (1,):
         return 0
-    if cells[-1] != 1:
-        raise ValueError("initial condition must end in 1")
+    if cells[0] == 0 or cells[-1] != 1:
+        raise ValueError("initial condition must start and end in 1")
     return gray_integrate(cells[:-1])
 
 

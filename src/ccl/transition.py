@@ -17,11 +17,13 @@ Each evolution is compressed once, as one incremental DEFLATE stream, and
 the length of every block prefix is read off at its row boundary; the
 lengths equal one-shot compression of each prefix byte for byte.
 
-Every sweep -- one exponent, a transition sequence, the coefficient of an
-interesting-IC scan -- fills a table of lengths (initial conditions by
-runtime blocks) and hands it to one successive-difference aggregation.
+Every sweep -- a profile, an exponent, a transition sequence, a scan --
+fills one table of lengths (initial conditions by runtime blocks); exponents
+and spikes come from one aggregation and one neighbour-rise rule over it.
 """
 
+import json
+import math
 import statistics
 from dataclasses import dataclass
 
@@ -119,6 +121,38 @@ def _prefix_lengths(rule, ic_number, t_block, blocks, width, config):
     )
 
 
+def _sweep(rule, numbers, t_block, blocks, config, threads=None, width=None):
+    """Lengths table of one sweep: for each initial-condition number, the
+    ``_prefix_lengths`` of its evolution, all in one window (sized for the
+    longest condition and the full runtime unless ``width`` pins it)."""
+    if width is None:
+        width = _window_width(numbers, t_block * blocks)
+    return _parallel_map(
+        lambda j: _prefix_lengths(rule, j, t_block, blocks, width, config),
+        numbers, threads,
+    )
+
+
+def _rises(values):
+    """How far each value rises above either neighbour, or 0.0."""
+    padded = [math.inf, *values, math.inf]
+    return [max(0.0, v - padded[j], v - padded[j + 2])
+            for j, v in enumerate(values)]
+
+
+def _scan_block(count, t, blocks, m):
+    """Checked runtime block of an interesting-IC scan."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if m < 3:
+        raise ValueError("need at least three initial conditions to rank")
+    if blocks < 2:
+        raise ValueError("need at least two blocks")
+    if t < blocks or t % blocks:
+        raise ValueError("t must be a positive multiple of blocks")
+    return t // blocks
+
+
 def _exponents(table, divisors, reduce="mean"):
     """Characteristic exponent of each column of a lengths table (rows:
     consecutive initial conditions, columns: runtime blocks): the mean
@@ -142,11 +176,8 @@ def ic_profile(rule, m, steps, normalize=False, config=DEFAULT_COMPRESSOR,
         raise ValueError("need at least one initial condition")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    width = _window_width(range(m), steps)
-    lengths = _parallel_map(
-        lambda j: _prefix_lengths(rule, j, steps, 1, width, config)[0],
-        range(m), threads,
-    )
+    table = _sweep(rule, range(m), steps, 1, config, threads)
+    lengths = [row[0] for row in table]
     if normalize:
         lengths = [c / steps for c in lengths]
     return IcProfile(rule, steps, tuple(lengths), normalize)
@@ -161,20 +192,15 @@ def detect_spikes(profile, q=3.0):
     upward excursions count: the foot of a spike falls by the same amount
     its peak rises, and reporting it would double every event.
     """
+    if not q >= 0:
+        raise ValueError("q must be >= 0")
     vals = list(profile.lengths) if isinstance(profile, IcProfile) else list(profile)
     if len(vals) < 2:
         return []
-    diffs = [vals[j + 1] - vals[j] for j in range(len(vals) - 1)]
+    diffs = [hi - lo for lo, hi in zip(vals, vals[1:])]
     med = statistics.median(diffs)
     mad = statistics.median(abs(d - med) for d in diffs)
-    thr = q * mad
-    out = []
-    for j in range(len(vals)):
-        up_left = j > 0 and vals[j] - vals[j - 1] > thr
-        up_right = j < len(vals) - 1 and vals[j] - vals[j + 1] > thr
-        if up_left or up_right:
-            out.append(j)
-    return out
+    return [j for j, rise in enumerate(_rises(vals)) if rise > q * mad]
 
 
 def characteristic_exponent(rule, n, steps, include_zero=False,
@@ -199,8 +225,7 @@ def characteristic_exponent(rule, n, steps, include_zero=False,
     if length_fn is None:
         if width is None:
             width = _window_width(numbers, steps)
-        table = [_prefix_lengths(rule, j, steps, 1, width, config)
-                 for j in numbers]
+        table = _sweep(rule, numbers, steps, 1, config, width=width)
     else:
         table = [[length_fn(j)] for j in numbers]
     divisor = steps
@@ -228,11 +253,7 @@ def transition_sequence(rule, n, t_block, blocks, include_zero=False,
     if t_block < 1:
         raise ValueError("t_block must be >= 1")
     numbers = list(range(0, n)) if include_zero else list(range(1, n + 1))
-    width = _window_width(numbers, t_block * blocks)
-    per_ic = _parallel_map(
-        lambda j: _prefix_lengths(rule, j, t_block, blocks, width, config),
-        numbers, threads,
-    )
+    per_ic = _sweep(rule, numbers, t_block, blocks, config, threads)
     runtimes = [b * t_block for b in range(1, blocks + 1)]
     return _exponents(per_ic, runtimes, reduce)
 
@@ -280,37 +301,15 @@ def interesting_initial_conditions(rule, count=10, t=600, blocks=12, m=30,
     Rules whose transition coefficient (over the same sweep) does not
     exceed ``threshold`` get a best-effort list and ``warning=True``.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if m < 3:
-        raise ValueError("need at least three initial conditions to rank")
-    if blocks < 2:
-        raise ValueError("need at least two blocks")
-    if t < blocks or t % blocks:
-        raise ValueError("t must be a positive multiple of blocks")
-    t_block = t // blocks
-    width = _window_width(range(m), t)
-    per_ic = _parallel_map(
-        lambda j: _prefix_lengths(rule, j, t_block, blocks, width, config),
-        range(m), threads,
-    )
+    t_block = _scan_block(count, t, blocks, m)
+    per_ic = _sweep(rule, range(m), t_block, blocks, config, threads)
     agg = [
         sum(per_ic[j][b] / ((b + 1) * t_block) for b in range(blocks)) / blocks
         for j in range(m)
     ]
-    rises = []
-    for j in range(m):
-        rise = 0.0
-        if j > 0:
-            rise = max(rise, agg[j] - agg[j - 1])
-        if j < m - 1:
-            rise = max(rise, agg[j] - agg[j + 1])
-        rises.append(rise)
-    ranked = sorted(
-        (j for j in range(m) if rises[j] > 0),
-        key=lambda j: (-rises[j], j),
-    )
-    ics = tuple(sorted(ranked[:count]))
+    ranked = sorted((-rise, j) for j, rise in enumerate(_rises(agg))
+                    if rise > 0)
+    ics = tuple(sorted(j for _, j in ranked[:count]))
 
     # Coefficient over the same sweep (conditions 1..m-1), reusing lengths.
     runtimes = [b * t_block for b in range(1, blocks + 1)]
@@ -339,8 +338,6 @@ class CoefficientReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self):
-        import json
-
         doc = {
             "parameters": {
                 "n": self.records[0].n,

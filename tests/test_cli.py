@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl import RuleSpec, cluster_1d, rank_rules, with_clusters
+from ccl import RuleSpec, cluster_1d, rank_rules, transition, with_clusters
 from ccl.cli import main
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -129,11 +129,17 @@ def test_unknown_config_key_rejected(tmp_path):
     ("tm-search", {**SMALL["tm-search"], "exhaustive": "false"}),
     ("transition", {**SMALL["transition"], "top": -1}),
     ("tm-search", {**SMALL["tm-search"], "top": -1}),
+    ("profile", {**SMALL["profile"], "q": float("nan")}),
+    ("profile", {**SMALL["profile"], "q": float("inf")}),
+    ("transition", {**SMALL["transition"], "threshold": float("inf")}),
+    ("transition", {**SMALL["transition"], "threshold": float("-inf")}),
+    ("profile", {**SMALL["profile"], "q": -1.0}),
 ], ids=["steps-null", "steps-true", "steps-float", "colors-11-sampled",
         "threshold-null", "rules-item-null", "ic-item-null",
         "rules-item-float", "rules-item-true", "normalize-string",
         "exhaustive-string", "transition-top-negative",
-        "tm-search-top-negative"])
+        "tm-search-top-negative", "q-nan", "q-infinity",
+        "threshold-infinity", "threshold-minus-infinity", "q-negative"])
 def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys, command,
                                                 config):
     cfg = tmp_path / "run.json"
@@ -189,14 +195,29 @@ def test_every_key_rejects_a_wrong_json_type(tmp_path, capsys, command, key,
     [*SMALL_TRANSITION, "--count", "0"],
     [*SMALL_TRANSITION, "--profile-steps", "21"],
     [*SMALL_TRANSITION, "--profile-steps", "0"],
+    [*SMALL_TRANSITION, "--top", "0", "--count", "0"],
+    ["profile", "--rule", "22", "--q", "nan"],
+    ["profile", "--rule", "22", "--q", "-1"],
 ], ids=["tm-search-top", "transition-top", "transition-blocks",
         "transition-n", "transition-count-0", "transition-profile-steps-21",
-        "transition-profile-steps-0"])
-def test_bad_flag_values_exit_2_before_writing(tmp_path, capsys, argv):
+        "transition-profile-steps-0", "transition-top-0-count-0", "q-nan",
+        "q-negative"])
+def test_bad_flag_values_exit_2_before_writing(tmp_path, capsys, monkeypatch,
+                                               argv):
+    """The run is rejected before a single evolution is computed."""
+    evolved = []
+    evolve = transition.evolve_ca
+
+    def counting_evolve(*args, **kwargs):
+        evolved.append(args)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(transition, "evolve_ca", counting_evolve)
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ccl: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+    assert evolved == []
 
 
 def _json_value(default):
@@ -234,18 +255,24 @@ def _configs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_configs())
-def test_any_config_exits_cleanly_and_writes_all_or_nothing(run):
+@given(_configs(), st.booleans())
+def test_any_config_exits_cleanly_and_writes_all_or_nothing(run, create):
+    """With ``create``, ``--out`` does not exist yet and ``--create`` is
+    given: a failed run must not leave the directory behind."""
     command, config = run
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = os.path.join(tmp, "run.json"), os.path.join(tmp, "out")
         with open(cfg, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
-        os.mkdir(out)
+        argv = [command, "--config", cfg, "--out", out]
+        if create:
+            argv.append("--create")
+        else:
+            os.mkdir(out)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main([command, "--config", cfg, "--out", out])
-        written = os.listdir(out)
+            code = main(argv)
+        written = os.listdir(out) if os.path.isdir(out) else None
     assert code in (0, 2, 3)
     if code == 0:
         assert err.getvalue() == ""
@@ -253,7 +280,7 @@ def test_any_config_exits_cleanly_and_writes_all_or_nothing(run):
     else:
         assert err.getvalue().startswith("ccl: ")
         assert err.getvalue().count("\n") == 1
-        assert written == []
+        assert written == (None if create else [])
 
 
 def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):

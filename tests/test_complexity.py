@@ -1,4 +1,5 @@
 import random
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -256,6 +257,21 @@ class TestCompressorConfig:
             CompressorConfig(level=10)
         with pytest.raises(ValueError):
             CompressorConfig(window_bits=15)
+        with pytest.raises(ValueError):
+            CompressorConfig.from_text("foo = 1")
+
+    def test_construction_accepts_what_zlib_accepts(self):
+        for mem_level in range(-1, 12):
+            for strategy in range(-1, 7):
+                try:
+                    zlib.compressobj(6, zlib.DEFLATED, -15, mem_level,
+                                     strategy)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        CompressorConfig(mem_level=mem_level,
+                                         strategy=strategy)
+                else:
+                    CompressorConfig(mem_level=mem_level, strategy=strategy)
 
     def test_levels_change_length_not_content(self):
         data = encode_diagram(evolve_ca(RuleSpec.eca(110), (1,), 50))

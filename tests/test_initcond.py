@@ -82,6 +82,10 @@ class TestInitialCondition:
             initial_condition_number(InitialCondition((1, 0)))
         with pytest.raises(ValueError):
             initial_condition_number([])
+        # Every image of initial_condition starts with 1.
+        for cells in [(0, 1), (0, 0, 1), (0, 1, 1)]:
+            with pytest.raises(ValueError):
+                initial_condition_number(cells)
 
     @given(st.integers(min_value=0, max_value=2 ** 20))
     def test_round_trip(self, n):

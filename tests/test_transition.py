@@ -172,6 +172,11 @@ class TestSpikeDetector:
         assert detect_spikes(profile, q=3.0) == [2]
         assert detect_spikes(profile, q=25.0) == []
 
+    @pytest.mark.parametrize("q", [-1.0, -1e-9, float("nan")])
+    def test_threshold_must_be_nonnegative(self, q):
+        with pytest.raises(ValueError):
+            detect_spikes([10, 10, 30, 10, 10, 12, 10, 11, 10, 11], q=q)
+
 
 class TestTransitionSequence:
     def test_matches_per_block_exponents_at_pinned_width(self):
