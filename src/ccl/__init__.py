@@ -14,13 +14,12 @@ from .automaton import (CA, TM, RuleSpec, SpaceTimeDiagram, evolve_ca,
 from .classify import (ClassificationEntry, ClassificationReport,
                        classify_eca, cluster_1d, rank_rules,
                        sample_rule_space, with_clusters)
-from .complexity import (DEFAULT_COMPRESSOR, ComplexityEstimate,
-                         CompressorConfig, ca_complexity, compressed_length,
-                         deflate, encode_diagram, encode_sequence,
-                         prefix_compressed_lengths, tm_complexity)
-from .initcond import (InitialCondition, damerau_levenshtein, gray_derivate,
-                       gray_integrate, initial_condition,
-                       initial_condition_number)
+from .complexity import (COMPRESSOR, ComplexityEstimate, ca_complexity,
+                         compressed_length, deflate, encode_diagram,
+                         encode_sequence, prefix_compressed_lengths,
+                         tm_complexity)
+from .initcond import (InitialCondition, gray_derivate, gray_integrate,
+                       initial_condition, initial_condition_number)
 from .transition import (CoefficientReport, IcProfile, InterestingIcs,
                          TransitionRecord, characteristic_exponent,
                          coefficient_classification, detect_spikes,
@@ -32,8 +31,8 @@ __all__ = [
     "CA", "TM", "RuleSpec", "SpaceTimeDiagram", "evolve_ca",
     "reached_states_sequence", "state_sequence",
     "InitialCondition", "gray_derivate", "gray_integrate",
-    "initial_condition", "initial_condition_number", "damerau_levenshtein",
-    "CompressorConfig", "DEFAULT_COMPRESSOR", "ComplexityEstimate",
+    "initial_condition", "initial_condition_number",
+    "COMPRESSOR", "ComplexityEstimate",
     "deflate", "compressed_length", "prefix_compressed_lengths",
     "encode_diagram", "encode_sequence",
     "ca_complexity", "tm_complexity",

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .automaton import CA, TM, RuleSpec
-from .complexity import DEFAULT_COMPRESSOR, ca_complexity
+from .complexity import COMPRESSOR, ca_complexity
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,6 @@ class ClassificationReport:
     entries: tuple
     steps: int
     init: tuple
-    compressor_id: str
 
     def to_csv(self):
         lines = ["rule,kind,colors,c_raw,c_compressed,cluster"]
@@ -49,7 +48,7 @@ class ClassificationReport:
             "parameters": {
                 "steps": self.steps,
                 "init": list(self.init),
-                "compressor": self.compressor_id,
+                "compressor": COMPRESSOR["id"],
             },
             "entries": [
                 {
@@ -80,7 +79,7 @@ def _parallel_map(fn, items, threads):
     return [fn(x) for x in items]
 
 
-def rank_rules(rules, init, steps, config=DEFAULT_COMPRESSOR, threads=None):
+def rank_rules(rules, init, steps, threads=None):
     """One entry per rule with its compressed length, ascending.
 
     Worker threads (if any) evaluate rules independently; results are
@@ -90,9 +89,8 @@ def rank_rules(rules, init, steps, config=DEFAULT_COMPRESSOR, threads=None):
     if not rules:
         raise ValueError("rule set must be non-empty")
     init = tuple(int(c) for c in init)
-    estimates = _parallel_map(
-        lambda r: ca_complexity(r, init, steps, config), rules, threads
-    )
+    estimates = _parallel_map(lambda r: ca_complexity(r, init, steps),
+                              rules, threads)
     pairs = sorted(
         zip(rules, estimates),
         key=lambda p: (p[1].compressed_length, p[0].rule_number),
@@ -101,7 +99,7 @@ def rank_rules(rules, init, steps, config=DEFAULT_COMPRESSOR, threads=None):
         ClassificationEntry(r, est.raw_length, est.compressed_length, 0)
         for r, est in pairs
     )
-    return ClassificationReport(entries, steps, init, config.config_id)
+    return ClassificationReport(entries, steps, init)
 
 
 def cluster_1d(values, k):
@@ -152,26 +150,24 @@ def _recluster(report, k, only_cluster=None, base=0):
 def with_clusters(report, k=2):
     """Cluster a ranked report's compressed lengths into (at most) ``k``
     largest-gap groups; fewer when there are not enough distinct values."""
-    entries = _recluster(report, k)
-    return ClassificationReport(entries, report.steps, report.init,
-                                report.compressor_id)
+    return ClassificationReport(_recluster(report, k), report.steps,
+                                report.init)
 
 
-def _classify(rules, init, steps, config, threads, split_levels):
+def _classify(rules, init, steps, threads, split_levels):
     """The one classification path of :func:`classify_eca` and the CLI:
     rank, cluster, and with ``split_levels=2`` split the high cluster."""
     if split_levels not in (1, 2):
         raise ValueError("split_levels must be 1 or 2")
-    report = with_clusters(rank_rules(rules, init, steps, config, threads))
+    report = with_clusters(rank_rules(rules, init, steps, threads))
     if split_levels == 2:
         report = ClassificationReport(
             _recluster(report, 2, only_cluster=1, base=1), report.steps,
-            report.init, report.compressor_id)
+            report.init)
     return report
 
 
-def classify_eca(steps=200, config=DEFAULT_COMPRESSOR, threads=None,
-                 split_levels=1):
+def classify_eca(steps=200, threads=None, split_levels=1):
     """Rank all 256 binary rules from the single black cell and split the
     compressed lengths into a low (simple, periodic) and a high (chaotic,
     complex) cluster.
@@ -180,7 +176,7 @@ def classify_eca(steps=200, config=DEFAULT_COMPRESSOR, threads=None,
     dense ids 0 (low), 1, and 2 (highest).
     """
     return _classify([RuleSpec.eca(n) for n in range(256)], (1,), steps,
-                     config, threads, split_levels)
+                     threads, split_levels)
 
 
 def sample_rule_space(kind, colors, states, size, seed):

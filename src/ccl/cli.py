@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .automaton import CA, TM, RuleSpec
 from .classify import _classify, sample_rule_space
-from .complexity import DEFAULT_COMPRESSOR, tm_complexity
+from .complexity import COMPRESSOR, tm_complexity
 from .svgplot import profile_svg, ranking_svg, transition_svg
 from .transition import (_scan_block, coefficient_classification,
                          detect_spikes, ic_profile,
@@ -144,12 +144,16 @@ def _load_config(command, path, flags):
 
 
 def _parse_rules(value):
-    if value is None or isinstance(value, list):
-        return value
+    if value is None:
+        return None
     try:
-        return [int(tok) for tok in str(value).split(",") if tok.strip()]
+        rules = value if isinstance(value, list) else [
+            int(tok) for tok in str(value).split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad rule list {value!r}") from exc
+    if len(set(rules)) < len(rules):
+        raise ConfigError(f"rule list {value!r} repeats a rule number")
+    return rules
 
 
 def _resolve_threads(flag_value):
@@ -205,8 +209,8 @@ def cmd_classify(cfg, threads):
             f"{colors}-color space needs an explicit rule list or "
             "sample_size"
         )
-    report = _classify(specs, cfg["ic"], cfg["steps"], DEFAULT_COMPRESSOR,
-                       threads, cfg["split_levels"])
+    report = _classify(specs, cfg["ic"], cfg["steps"], threads,
+                       cfg["split_levels"])
     return {"classification.csv": report.to_csv(),
             "classification.json": report.to_json(),
             "ranking.svg": ranking_svg(report)}
@@ -365,10 +369,13 @@ def main(argv=None):
         if not (args.create or os.path.isdir(args.out)):
             raise OSError(f"output directory does not exist: {args.out}")
         files = _COMMANDS[args.command][0](cfg, threads)
-        files["compressor.cfg"] = DEFAULT_COMPRESSOR.to_text()
+        files["compressor.cfg"] = (
+            "# raw DEFLATE (RFC 1951) compressor parameters\n" + "".join(
+                f"{key} = {value}\n" for key, value in COMPRESSOR.items()
+                if key != "id"))
         files["manifest.json"] = json.dumps({
             "tool": "ccl", "version": __version__, "command": args.command,
-            "parameters": cfg, "compressor": DEFAULT_COMPRESSOR.as_dict(),
+            "parameters": cfg, "compressor": COMPRESSOR,
         }, indent=2, sort_keys=True) + "\n"
         _write(args.out, files)
     except (ConfigError, ValueError) as exc:

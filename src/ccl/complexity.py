@@ -14,78 +14,11 @@ import numpy as np
 
 from .automaton import evolve_ca, reached_states_sequence, state_sequence
 
-
-@dataclass(frozen=True)
-class CompressorConfig:
-    """Pinned raw-DEFLATE (RFC 1951) parameters.
-
-    ``window_bits`` is negative, which selects a headerless stream; the
-    default level 6 with the dynamic-Huffman strategy is the set under
-    which all shipped reference results were produced.  Change it and
-    rankings may shift, which is why every report records ``config_id``.
-    """
-
-    level: int = 6
-    window_bits: int = -15
-    mem_level: int = 8
-    strategy: int = 0
-
-    def __post_init__(self):
-        # The ranges zlib accepts; window_bits is negative for a raw stream.
-        for name, low, high in (("level", 0, 9), ("window_bits", -15, -9),
-                                ("mem_level", 1, 9), ("strategy", 0, 4)):
-            if not low <= getattr(self, name) <= high:
-                raise ValueError(f"{name} must be in {low}..{high}")
-
-    @property
-    def config_id(self):
-        return (
-            f"deflate-l{self.level}w{-self.window_bits}"
-            f"s{self.strategy}m{self.mem_level}"
-        )
-
-    def as_dict(self):
-        return {
-            "level": self.level,
-            "window_bits": self.window_bits,
-            "mem_level": self.mem_level,
-            "strategy": self.strategy,
-            "id": self.config_id,
-        }
-
-    def to_text(self):
-        return (
-            "# raw DEFLATE (RFC 1951) compressor parameters\n"
-            f"level = {self.level}\n"
-            f"window_bits = {self.window_bits}\n"
-            f"mem_level = {self.mem_level}\n"
-            f"strategy = {self.strategy}\n"
-        )
-
-    @classmethod
-    def from_text(cls, text):
-        fields = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = map(str.strip, line.partition("="))
-            if key not in cls.__dataclass_fields__:
-                raise ValueError(f"unknown compressor parameter {key!r}")
-            fields[key] = int(value)
-        return cls(**fields)
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
-
-
-DEFAULT_COMPRESSOR = CompressorConfig()
+# The pinned raw-DEFLATE (RFC 1951) parameters: a negative window_bits
+# selects a headerless stream.  All shipped reference results were produced
+# under this one set, and every report records its id.
+COMPRESSOR = {"level": 6, "window_bits": -15, "mem_level": 8, "strategy": 0,
+              "id": "deflate-l6w15s0m8"}
 
 
 @dataclass(frozen=True)
@@ -95,28 +28,24 @@ class ComplexityEstimate:
     ratio: Fraction
 
 
-def _compressobj(config):
-    return zlib.compressobj(
-        config.level,
-        zlib.DEFLATED,
-        config.window_bits,
-        config.mem_level,
-        config.strategy,
-    )
+def _compressobj():
+    c = COMPRESSOR
+    return zlib.compressobj(c["level"], zlib.DEFLATED, c["window_bits"],
+                            c["mem_level"], c["strategy"])
 
 
-def deflate(data, config=DEFAULT_COMPRESSOR):
-    """Compress ``data`` to a raw DEFLATE stream under the pinned config."""
-    co = _compressobj(config)
+def deflate(data):
+    """Raw DEFLATE stream of ``data`` under the pinned compressor."""
+    co = _compressobj()
     return co.compress(data) + co.flush()
 
 
-def compressed_length(data, config=DEFAULT_COMPRESSOR):
+def compressed_length(data):
     """Length in bytes of the raw DEFLATE stream for ``data``."""
-    return len(deflate(data, config))
+    return len(deflate(data))
 
 
-def prefix_compressed_lengths(data, ends, config=DEFAULT_COMPRESSOR):
+def prefix_compressed_lengths(data, ends):
     """``[compressed_length(data[:e]) for e in ends]`` from one stream.
 
     ``data`` is fed once, in order, to a single compressor; at each end the
@@ -125,7 +54,7 @@ def prefix_compressed_lengths(data, ends, config=DEFAULT_COMPRESSOR):
     input is split, so every length equals one-shot compression of the
     prefix byte for byte.  ``ends`` must be ascending.
     """
-    co = _compressobj(config)
+    co = _compressobj()
     view = memoryview(data)
     emitted = prev = 0
     out = []
@@ -158,19 +87,19 @@ def encode_sequence(values):
     return bytes(ord("0") + v for v in values) + b"\n"
 
 
-def _estimate(data, config):
+def _estimate(data):
     raw = len(data)
-    comp = compressed_length(data, config)
+    comp = compressed_length(data)
     return ComplexityEstimate(raw, comp, Fraction(comp, raw) if raw else Fraction(0))
 
 
-def ca_complexity(rule, init, steps, config=DEFAULT_COMPRESSOR):
+def ca_complexity(rule, init, steps):
     """Evolve, encode, compress.  ``raw_length`` is exactly
     (width + 1) * (steps + 1) bytes."""
-    return _estimate(encode_diagram(evolve_ca(rule, init, steps)), config)
+    return _estimate(encode_diagram(evolve_ca(rule, init, steps)))
 
 
-def tm_complexity(rule, steps, config=DEFAULT_COMPRESSOR, sequence="reached"):
+def tm_complexity(rule, steps, sequence="reached"):
     """Compress a Turing machine's state usage over time.
 
     ``sequence`` selects what is measured: ``"reached"`` (default) feeds the
@@ -183,4 +112,4 @@ def tm_complexity(rule, steps, config=DEFAULT_COMPRESSOR, sequence="reached"):
         seq = state_sequence(rule, steps)
     else:
         raise ValueError("sequence must be 'reached' or 'states'")
-    return _estimate(encode_sequence(seq), config)
+    return _estimate(encode_sequence(seq))

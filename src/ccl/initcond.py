@@ -80,31 +80,3 @@ def initial_condition_number(ic):
     if cells[0] == 0 or cells[-1] != 1:
         raise ValueError("initial condition must start and end in 1")
     return gray_integrate(cells[:-1])
-
-
-def damerau_levenshtein(u, v):
-    """Edit distance counting single-element insertions, deletions,
-    substitutions, and adjacent transpositions (restricted variant).
-
-    Standard dynamic program over a (len(u)+1) x (len(v)+1) table; the
-    transposition case reaches back two rows and two columns.
-    """
-    u = list(u)
-    v = list(v)
-    m, n = len(u), len(v)
-    prev2 = None
-    prev = list(range(n + 1))
-    for i in range(1, m + 1):
-        cur = [i] + [0] * n
-        for j in range(1, n + 1):
-            cost = 0 if u[i - 1] == v[j - 1] else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-            if (
-                i > 1
-                and j > 1
-                and u[i - 1] == v[j - 2]
-                and u[i - 2] == v[j - 1]
-            ):
-                cur[j] = min(cur[j], prev2[j - 2] + 1)
-        prev2, prev = prev, cur
-    return prev[n]

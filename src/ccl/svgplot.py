@@ -5,6 +5,8 @@ same data always serializes to the same bytes, so plots can be golden-file
 tested and diffed like any other report.
 """
 
+from .complexity import COMPRESSOR
+
 WIDTH = 640
 HEIGHT = 400
 MARGIN = 48
@@ -84,7 +86,7 @@ def ranking_svg(report):
     to_px, bounds = _scale(xs, ys)
     parts = _frame(
         f"compressed length by rank (t={report.steps}, "
-        f"{report.compressor_id})",
+        f"{COMPRESSOR['id']})",
         bounds,
     )
     by_cluster = {}

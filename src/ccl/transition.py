@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 from .automaton import evolve_ca
 from .classify import _parallel_map, cluster_1d
-from .complexity import (DEFAULT_COMPRESSOR, encode_diagram,
-                         prefix_compressed_lengths)
+from .complexity import COMPRESSOR, encode_diagram, prefix_compressed_lengths
 from .initcond import initial_condition
 
 
@@ -105,7 +104,7 @@ def _window_width(ic_numbers, steps):
     return longest + 2 * (steps + 1)
 
 
-def _prefix_lengths(rule, ic_number, t_block, blocks, width, config):
+def _prefix_lengths(rule, ic_number, t_block, blocks, width):
     """Compressed length of the first 1 + b*t_block rows of one evolution,
     for b = 1..blocks.  Row-major encoding makes each block a byte prefix
     of the full encoding, so the encoding goes once through one incremental
@@ -116,21 +115,18 @@ def _prefix_lengths(rule, ic_number, t_block, blocks, width, config):
     )
     stride = width + 1
     return prefix_compressed_lengths(
-        enc, [stride * (b * t_block + 1) for b in range(1, blocks + 1)],
-        config,
-    )
+        enc, [stride * (b * t_block + 1) for b in range(1, blocks + 1)])
 
 
-def _sweep(rule, numbers, t_block, blocks, config, threads=None, width=None):
+def _sweep(rule, numbers, t_block, blocks, threads=None, width=None):
     """Lengths table of one sweep: for each initial-condition number, the
     ``_prefix_lengths`` of its evolution, all in one window (sized for the
     longest condition and the full runtime unless ``width`` pins it)."""
     if width is None:
         width = _window_width(numbers, t_block * blocks)
     return _parallel_map(
-        lambda j: _prefix_lengths(rule, j, t_block, blocks, width, config),
-        numbers, threads,
-    )
+        lambda j: _prefix_lengths(rule, j, t_block, blocks, width), numbers,
+        threads)
 
 
 def _rises(values):
@@ -168,15 +164,14 @@ def _exponents(table, divisors, reduce="mean"):
     return out
 
 
-def ic_profile(rule, m, steps, normalize=False, config=DEFAULT_COMPRESSOR,
-               threads=None):
+def ic_profile(rule, m, steps, normalize=False, threads=None):
     """Compressed length of ``rule``'s evolution from initial conditions
     0..m-1, each run for ``steps`` steps in the common window."""
     if m < 1:
         raise ValueError("need at least one initial condition")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    table = _sweep(rule, range(m), steps, 1, config, threads)
+    table = _sweep(rule, range(m), steps, 1, threads)
     lengths = [row[0] for row in table]
     if normalize:
         lengths = [c / steps for c in lengths]
@@ -205,7 +200,7 @@ def detect_spikes(profile, q=3.0):
 
 def characteristic_exponent(rule, n, steps, include_zero=False,
                             reduce="mean", normalize="t", width=None,
-                            length_fn=None, config=DEFAULT_COMPRESSOR):
+                            length_fn=None):
     """Mean absolute successive difference of compressed lengths over the
     first ``n`` numbered initial conditions, divided by the runtime.
 
@@ -225,7 +220,7 @@ def characteristic_exponent(rule, n, steps, include_zero=False,
     if length_fn is None:
         if width is None:
             width = _window_width(numbers, steps)
-        table = _sweep(rule, numbers, steps, 1, config, width=width)
+        table = _sweep(rule, numbers, steps, 1, width=width)
     else:
         table = [[length_fn(j)] for j in numbers]
     divisor = steps
@@ -237,8 +232,7 @@ def characteristic_exponent(rule, n, steps, include_zero=False,
 
 
 def transition_sequence(rule, n, t_block, blocks, include_zero=False,
-                        reduce="mean", config=DEFAULT_COMPRESSOR,
-                        threads=None):
+                        reduce="mean", threads=None):
     """Characteristic exponents of ``rule`` at runtimes t_block, 2*t_block,
     ..., blocks*t_block, all measured inside the full-runtime window.
 
@@ -253,7 +247,7 @@ def transition_sequence(rule, n, t_block, blocks, include_zero=False,
     if t_block < 1:
         raise ValueError("t_block must be >= 1")
     numbers = list(range(0, n)) if include_zero else list(range(1, n + 1))
-    per_ic = _sweep(rule, numbers, t_block, blocks, config, threads)
+    per_ic = _sweep(rule, numbers, t_block, blocks, threads)
     runtimes = [b * t_block for b in range(1, blocks + 1)]
     return _exponents(per_ic, runtimes, reduce)
 
@@ -273,24 +267,20 @@ def least_squares_fit(seq):
     return ybar - slope * xbar, slope
 
 
-def transition_coefficient(rule, n=20, t_block=75, blocks=4,
-                           config=DEFAULT_COMPRESSOR, threads=None):
+def transition_coefficient(rule, n=20, t_block=75, blocks=4, threads=None):
     """Slope of the least-squares line through the transition sequence."""
-    return transition_record(rule, n, t_block, blocks, config, threads).C
+    return transition_record(rule, n, t_block, blocks, threads).C
 
 
-def transition_record(rule, n=20, t_block=75, blocks=4,
-                      config=DEFAULT_COMPRESSOR, threads=None):
+def transition_record(rule, n=20, t_block=75, blocks=4, threads=None):
     """Full record for one rule: S_c, fitted line, coefficient."""
-    seq = transition_sequence(rule, n, t_block, blocks, config=config,
-                              threads=threads)
+    seq = transition_sequence(rule, n, t_block, blocks, threads=threads)
     return TransitionRecord(rule, n, t_block, blocks, tuple(seq),
                             least_squares_fit(seq))
 
 
 def interesting_initial_conditions(rule, count=10, t=600, blocks=12, m=30,
-                                   threshold=1.0, config=DEFAULT_COMPRESSOR,
-                                   threads=None):
+                                   threshold=1.0, threads=None):
     """The ``count`` initial-condition numbers at which the rule's profile
     jumps hardest, scanned over conditions 0..m-1 run up to ``t`` steps in
     ``blocks`` runtime blocks.
@@ -302,7 +292,7 @@ def interesting_initial_conditions(rule, count=10, t=600, blocks=12, m=30,
     exceed ``threshold`` get a best-effort list and ``warning=True``.
     """
     t_block = _scan_block(count, t, blocks, m)
-    per_ic = _sweep(rule, range(m), t_block, blocks, config, threads)
+    per_ic = _sweep(rule, range(m), t_block, blocks, threads)
     agg = [
         sum(per_ic[j][b] / ((b + 1) * t_block) for b in range(blocks)) / blocks
         for j in range(m)
@@ -326,7 +316,6 @@ class CoefficientReport:
 
     records: tuple
     clusters: tuple
-    compressor_id: str
 
     def to_csv(self):
         lines = ["rule,kind,colors,coefficient,cluster"]
@@ -343,7 +332,7 @@ class CoefficientReport:
                 "n": self.records[0].n,
                 "t_block": self.records[0].t_block,
                 "blocks": self.records[0].blocks,
-                "compressor": self.compressor_id,
+                "compressor": COMPRESSOR["id"],
             },
             "entries": [
                 dict(rec.to_dict(), cluster=cl)
@@ -354,17 +343,15 @@ class CoefficientReport:
 
 
 def coefficient_classification(rules, n=20, t_block=75, blocks=4, clusters=2,
-                               config=DEFAULT_COMPRESSOR, threads=None):
+                               threads=None):
     """Rank a rule set by transition coefficient (largest first) and split
     the coefficients into ``clusters`` groups by largest gaps."""
     rules = list(rules)
     if not rules:
         raise ValueError("rule set must be non-empty")
     records = _parallel_map(
-        lambda r: transition_record(r, n, t_block, blocks, config=config),
-        rules, threads,
-    )
+        lambda r: transition_record(r, n, t_block, blocks), rules, threads)
     records.sort(key=lambda rec: (-rec.C, rec.rule.rule_number))
     k = min(clusters, len(set(rec.C for rec in records)))
     ids = cluster_1d([rec.C for rec in records], k)
-    return CoefficientReport(tuple(records), tuple(ids), config.config_id)
+    return CoefficientReport(tuple(records), tuple(ids))

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccl.classify
-from ccl import (CA, TM, RuleSpec, ca_complexity, classify_eca, cluster_1d,
-                 encode_diagram, evolve_ca, rank_rules, sample_rule_space,
-                 with_clusters)
+from ccl import (CA, COMPRESSOR, TM, RuleSpec, ca_complexity, classify_eca,
+                 cluster_1d, encode_diagram, evolve_ca, rank_rules,
+                 sample_rule_space, with_clusters)
 from ccl.classify import _parallel_map
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -165,7 +165,7 @@ class TestClassifyEca:
             (SCHEMAS / "classification.schema.json").read_text()
         )
         jsonschema.validate(doc, schema)
-        assert doc["parameters"]["compressor"] == report.compressor_id
+        assert doc["parameters"]["compressor"] == COMPRESSOR["id"]
 
 
 class TestSampleRuleSpace:

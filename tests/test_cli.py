@@ -134,12 +134,14 @@ def test_unknown_config_key_rejected(tmp_path):
     ("transition", {**SMALL["transition"], "threshold": float("inf")}),
     ("transition", {**SMALL["transition"], "threshold": float("-inf")}),
     ("profile", {**SMALL["profile"], "q": -1.0}),
+    ("classify", {"rules": [30, 30]}),
 ], ids=["steps-null", "steps-true", "steps-float", "colors-11-sampled",
         "threshold-null", "rules-item-null", "ic-item-null",
         "rules-item-float", "rules-item-true", "normalize-string",
         "exhaustive-string", "transition-top-negative",
         "tm-search-top-negative", "q-nan", "q-infinity",
-        "threshold-infinity", "threshold-minus-infinity", "q-negative"])
+        "threshold-infinity", "threshold-minus-infinity", "q-negative",
+        "rules-repeated"])
 def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys, command,
                                                 config):
     cfg = tmp_path / "run.json"
@@ -198,10 +200,11 @@ def test_every_key_rejects_a_wrong_json_type(tmp_path, capsys, command, key,
     [*SMALL_TRANSITION, "--top", "0", "--count", "0"],
     ["profile", "--rule", "22", "--q", "nan"],
     ["profile", "--rule", "22", "--q", "-1"],
+    ["transition", "--rules", "22,22", "--top", "2"],
 ], ids=["tm-search-top", "transition-top", "transition-blocks",
         "transition-n", "transition-count-0", "transition-profile-steps-21",
         "transition-profile-steps-0", "transition-top-0-count-0", "q-nan",
-        "q-negative"])
+        "q-negative", "transition-rules-repeated"])
 def test_bad_flag_values_exit_2_before_writing(tmp_path, capsys, monkeypatch,
                                                argv):
     """The run is rejected before a single evolution is computed."""
@@ -384,6 +387,37 @@ def test_flags_override_config_file(tmp_path):
     assert manifest["parameters"]["rules"] == [30, 90]
     assert manifest["compressor"]["id"] == "deflate-l6w15s0m8"
     assert manifest["tool"] == "ccl"
+
+
+def test_every_run_records_the_pinned_compressor(tmp_path):
+    """compressor.cfg, the manifest's compressor block and the id in each
+    report name the one pinned raw-DEFLATE setting, byte for byte."""
+    classify, trans = tmp_path / "classify", tmp_path / "transition"
+    assert main(["classify", "--rules", "30,90", "--steps", "20",
+                 "--out", str(classify), "--create"]) == 0
+    assert main([*SMALL_TRANSITION, "--out", str(trans), "--create"]) == 0
+    for out in (classify, trans):
+        assert (out / "compressor.cfg").read_bytes() == (
+            b"# raw DEFLATE (RFC 1951) compressor parameters\n"
+            b"level = 6\n"
+            b"window_bits = -15\n"
+            b"mem_level = 8\n"
+            b"strategy = 0\n")
+        manifest = (out / "manifest.json").read_text()
+        assert (
+            '  "compressor": {\n'
+            '    "id": "deflate-l6w15s0m8",\n'
+            '    "level": 6,\n'
+            '    "mem_level": 8,\n'
+            '    "strategy": 0,\n'
+            '    "window_bits": -15\n'
+            '  },\n') in manifest
+    for report in (classify / "classification.json",
+                   trans / "coefficients.json"):
+        doc = json.loads(report.read_text())
+        assert doc["parameters"]["compressor"] == "deflate-l6w15s0m8"
+    assert ("compressed length by rank (t=20, deflate-l6w15s0m8)</text>"
+            in (classify / "ranking.svg").read_text())
 
 
 def test_full_eca_classify_uses_the_configured_ic(tmp_path):

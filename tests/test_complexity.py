@@ -7,12 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl import (DEFAULT_COMPRESSOR, CompressorConfig, RuleSpec,
-                 SpaceTimeDiagram, ca_complexity, compressed_length, deflate,
-                 encode_diagram, encode_sequence, evolve_ca,
-                 prefix_compressed_lengths, tm_complexity)
+from ccl import (COMPRESSOR, RuleSpec, SpaceTimeDiagram, ca_complexity,
+                 compressed_length, deflate, encode_diagram, encode_sequence,
+                 evolve_ca, prefix_compressed_lengths, tm_complexity)
 from rfc1951 import inflate
 from test_automaton import action, tm_rule_from_digits
+
+
+def raw_deflate(data, level):
+    """A raw DEFLATE stream of ``data`` at another ``level`` than the pin."""
+    co = zlib.compressobj(level, zlib.DEFLATED, -15)
+    return co.compress(data) + co.flush()
 
 
 def diagram(rows):
@@ -85,12 +90,9 @@ class TestCompressedLength:
             encode_diagram(evolve_ca(RuleSpec.eca(151), (1,), 40)),
         ]
         for data in streams:
-            for config in (
-                DEFAULT_COMPRESSOR,
-                CompressorConfig(level=1),
-                CompressorConfig(level=9),
-            ):
-                assert inflate(deflate(data, config)) == data
+            assert inflate(deflate(data)) == data
+            for level in (1, 9):
+                assert inflate(raw_deflate(data, level)) == data
 
 
 # Random bytes, and highly repetitive ones: a short random unit repeated
@@ -133,11 +135,9 @@ class TestPrefixCompressedLengths:
             (b"0123456789\n" * 20000, [0, 32768, 70001, 150000, 220000]),
         ]
         for data, ends in cases:
-            for config in (DEFAULT_COMPRESSOR, CompressorConfig(level=1),
-                           CompressorConfig(level=9, window_bits=-9)):
-                assert prefix_compressed_lengths(data, ends, config) == [
-                    compressed_length(data[:e], config) for e in ends
-                ]
+            assert prefix_compressed_lengths(data, ends) == [
+                compressed_length(data[:e]) for e in ends
+            ]
 
     def test_block_prefixes_of_an_evolution(self):
         width, t_block, blocks = 203, 25, 4
@@ -241,40 +241,10 @@ class TestTmComplexity:
 
 class TestCompressorConfig:
     def test_id_is_pinned(self):
-        assert DEFAULT_COMPRESSOR.config_id == "deflate-l6w15s0m8"
-
-    def test_text_round_trip(self):
-        cfg = CompressorConfig(level=4, strategy=1)
-        assert CompressorConfig.from_text(cfg.to_text()) == cfg
-
-    def test_save_load(self, tmp_path):
-        path = tmp_path / "compressor.cfg"
-        DEFAULT_COMPRESSOR.save(path)
-        assert CompressorConfig.load(path) == DEFAULT_COMPRESSOR
-
-    def test_bad_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            CompressorConfig(level=10)
-        with pytest.raises(ValueError):
-            CompressorConfig(window_bits=15)
-        with pytest.raises(ValueError):
-            CompressorConfig.from_text("foo = 1")
-
-    def test_construction_accepts_what_zlib_accepts(self):
-        for mem_level in range(-1, 12):
-            for strategy in range(-1, 7):
-                try:
-                    zlib.compressobj(6, zlib.DEFLATED, -15, mem_level,
-                                     strategy)
-                except ValueError:
-                    with pytest.raises(ValueError):
-                        CompressorConfig(mem_level=mem_level,
-                                         strategy=strategy)
-                else:
-                    CompressorConfig(mem_level=mem_level, strategy=strategy)
+        assert COMPRESSOR["id"] == "deflate-l6w15s0m8"
 
     def test_levels_change_length_not_content(self):
         data = encode_diagram(evolve_ca(RuleSpec.eca(110), (1,), 50))
-        for level in (1, 6, 9):
-            stream = deflate(data, CompressorConfig(level=level))
-            assert inflate(stream) == data
+        assert inflate(deflate(data)) == data
+        for level in (1, 9):
+            assert inflate(raw_deflate(data, level)) == data

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from ccl import CA, RuleSpec, ca_complexity, initial_condition
 from ccl.classify import sample_rule_space
-from ccl.complexity import DEFAULT_COMPRESSOR
+from ccl.complexity import COMPRESSOR
 from ccl.transition import _prefix_lengths, _window_width
 
 GOLDEN = Path(__file__).resolve().parent / "golden_lengths.json"
@@ -34,7 +34,7 @@ def compute():
     ic0 = initial_condition(0)
     doc = {
         "zlib_runtime_version": zlib.ZLIB_RUNTIME_VERSION,
-        "compressor": DEFAULT_COMPRESSOR.config_id,
+        "compressor": COMPRESSOR["id"],
         "eca_t200": [ca_complexity(RuleSpec.eca(r), ic0, STEPS)
                      .compressed_length for r in range(256)],
     }
@@ -42,7 +42,7 @@ def compute():
         width = _window_width(ics, t_block * blocks)
         doc[f"prefix_{name}"] = {
             str(r): [_prefix_lengths(RuleSpec.eca(r), j, t_block, blocks,
-                                     width, DEFAULT_COMPRESSOR) for j in ics]
+                                     width) for j in ics]
             for r in PREFIX_RULES
         }
     doc["k3_t200"] = {
