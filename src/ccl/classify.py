@@ -129,16 +129,17 @@ def cluster_1d(values, k):
     return out
 
 
-def _recluster(report, k, only_cluster=None, base=0):
-    """Re-run cluster_1d over (a subset of) a report's entries, returning new
-    entries with ids offset by ``base``; an empty subset changes nothing."""
+def _recluster(report, only_cluster=None, base=0):
+    """Re-run a two-way cluster_1d over (a subset of) a report's entries,
+    returning new entries with ids offset by ``base``; an empty subset
+    changes nothing."""
     entries = report.entries
     picked = [i for i, e in enumerate(entries)
               if only_cluster is None or e.cluster == only_cluster]
     if not picked:
         return entries
     values = [entries[i].c_compressed for i in picked]
-    ids = cluster_1d(values, min(k, len(set(values))))
+    ids = cluster_1d(values, min(2, len(set(values))))
     relabel = {i: base + c for i, c in zip(picked, ids)}
     return tuple(
         ClassificationEntry(e.rule, e.c_raw, e.c_compressed,
@@ -147,10 +148,10 @@ def _recluster(report, k, only_cluster=None, base=0):
     )
 
 
-def with_clusters(report, k=2):
-    """Cluster a ranked report's compressed lengths into (at most) ``k``
-    largest-gap groups; fewer when there are not enough distinct values."""
-    return ClassificationReport(_recluster(report, k), report.steps,
+def with_clusters(report):
+    """Cluster a ranked report's compressed lengths into two largest-gap
+    groups, or one when all values are equal."""
+    return ClassificationReport(_recluster(report), report.steps,
                                 report.init)
 
 
@@ -162,7 +163,7 @@ def _classify(rules, init, steps, threads, split_levels):
     report = with_clusters(rank_rules(rules, init, steps, threads))
     if split_levels == 2:
         report = ClassificationReport(
-            _recluster(report, 2, only_cluster=1, base=1), report.steps,
+            _recluster(report, only_cluster=1, base=1), report.steps,
             report.init)
     return report
 

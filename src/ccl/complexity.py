@@ -93,10 +93,19 @@ def _estimate(data):
     return ComplexityEstimate(raw, comp, Fraction(comp, raw) if raw else Fraction(0))
 
 
+def _encoded_evolution(rule, init, steps, width=None):
+    """Canonical encoding of a CA evolution; a rule with more colors than
+    the encoding has digits is refused before it is evolved."""
+    if rule.colors > 10:
+        raise ValueError("canonical encoding supports at most 10 colors, "
+                         f"not {rule.colors}")
+    return encode_diagram(evolve_ca(rule, init, steps, width=width))
+
+
 def ca_complexity(rule, init, steps):
     """Evolve, encode, compress.  ``raw_length`` is exactly
     (width + 1) * (steps + 1) bytes."""
-    return _estimate(encode_diagram(evolve_ca(rule, init, steps)))
+    return _estimate(_encoded_evolution(rule, init, steps))
 
 
 def tm_complexity(rule, steps, sequence="reached"):

@@ -27,9 +27,9 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .automaton import evolve_ca
 from .classify import _parallel_map, cluster_1d
-from .complexity import COMPRESSOR, encode_diagram, prefix_compressed_lengths
+from .complexity import (COMPRESSOR, _encoded_evolution,
+                         prefix_compressed_lengths)
 from .initcond import initial_condition
 
 
@@ -109,21 +109,18 @@ def _prefix_lengths(rule, ic_number, t_block, blocks, width):
     for b = 1..blocks.  Row-major encoding makes each block a byte prefix
     of the full encoding, so the encoding goes once through one incremental
     DEFLATE stream and each length is read off at its row boundary."""
-    enc = encode_diagram(
-        evolve_ca(rule, initial_condition(ic_number), t_block * blocks,
-                  width=width)
-    )
+    enc = _encoded_evolution(rule, initial_condition(ic_number),
+                             t_block * blocks, width)
     stride = width + 1
     return prefix_compressed_lengths(
         enc, [stride * (b * t_block + 1) for b in range(1, blocks + 1)])
 
 
-def _sweep(rule, numbers, t_block, blocks, threads=None, width=None):
+def _sweep(rule, numbers, t_block, blocks, threads=None):
     """Lengths table of one sweep: for each initial-condition number, the
-    ``_prefix_lengths`` of its evolution, all in one window (sized for the
-    longest condition and the full runtime unless ``width`` pins it)."""
-    if width is None:
-        width = _window_width(numbers, t_block * blocks)
+    ``_prefix_lengths`` of its evolution, all in one window sized for the
+    longest condition and the full runtime."""
+    width = _window_width(numbers, t_block * blocks)
     return _parallel_map(
         lambda j: _prefix_lengths(rule, j, t_block, blocks, width), numbers,
         threads)
@@ -149,18 +146,15 @@ def _scan_block(count, t, blocks, m):
     return t // blocks
 
 
-def _exponents(table, divisors, reduce="mean"):
+def _exponents(table, divisors):
     """Characteristic exponent of each column of a lengths table (rows:
     consecutive initial conditions, columns: runtime blocks): the mean
-    (or, with ``reduce="max"``, the largest) absolute difference between
-    successive rows, divided by that column's divisor."""
-    if reduce not in ("mean", "max"):
-        raise ValueError("reduce must be 'mean' or 'max'")
+    absolute difference between successive rows, divided by that column's
+    divisor."""
     out = []
     for b, divisor in enumerate(divisors):
         diffs = [abs(hi[b] - lo[b]) for lo, hi in zip(table, table[1:])]
-        agg = max(diffs) if reduce == "max" else sum(diffs) / len(diffs)
-        out.append(agg / divisor)
+        out.append(sum(diffs) / len(diffs) / divisor)
     return out
 
 
@@ -198,58 +192,31 @@ def detect_spikes(profile, q=3.0):
     return [j for j, rise in enumerate(_rises(vals)) if rise > q * mad]
 
 
-def characteristic_exponent(rule, n, steps, include_zero=False,
-                            reduce="mean", normalize="t", width=None,
-                            length_fn=None):
-    """Mean absolute successive difference of compressed lengths over the
-    first ``n`` numbered initial conditions, divided by the runtime.
-
-    ``reduce="max"`` takes the largest difference instead of the mean;
-    ``normalize="volume"`` divides by the cell count of the window instead
-    of the step count.  ``length_fn`` substitutes an arbitrary length
-    function of the initial-condition number (the formula itself is often
-    what needs testing).  Values above 1 signal a phase transition.
-    """
-    if n < 2:
-        raise ValueError("need at least two initial conditions")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if normalize not in ("t", "volume"):
-        raise ValueError("normalize must be 't' or 'volume'")
-    numbers = list(range(0, n)) if include_zero else list(range(1, n + 1))
-    if length_fn is None:
-        if width is None:
-            width = _window_width(numbers, steps)
-        table = _sweep(rule, numbers, steps, 1, width=width)
-    else:
-        table = [[length_fn(j)] for j in numbers]
-    divisor = steps
-    if normalize == "volume":
-        if width is None:
-            raise ValueError("volume normalization needs a window width")
-        divisor = width * (steps + 1)
-    return _exponents(table, [divisor], reduce)[0]
-
-
-def transition_sequence(rule, n, t_block, blocks, include_zero=False,
-                        reduce="mean", threads=None):
-    """Characteristic exponents of ``rule`` at runtimes t_block, 2*t_block,
-    ..., blocks*t_block, all measured inside the full-runtime window.
-
-    Equivalent to calling :func:`characteristic_exponent` once per block
-    with ``width`` pinned to the longest runtime's window, but each initial
-    condition is evolved and encoded only once.
-    """
-    if blocks < 2:
-        raise ValueError("need at least two blocks to see a trend")
+def _exponent_sequence(rule, n, t_block, blocks, threads=None):
+    """Characteristic exponents over initial conditions 1..n at runtimes
+    t_block, 2*t_block, ..., blocks*t_block, from one sweep."""
     if n < 2:
         raise ValueError("need at least two initial conditions")
     if t_block < 1:
         raise ValueError("t_block must be >= 1")
-    numbers = list(range(0, n)) if include_zero else list(range(1, n + 1))
-    per_ic = _sweep(rule, numbers, t_block, blocks, threads)
-    runtimes = [b * t_block for b in range(1, blocks + 1)]
-    return _exponents(per_ic, runtimes, reduce)
+    table = _sweep(rule, range(1, n + 1), t_block, blocks, threads)
+    return _exponents(table, [b * t_block for b in range(1, blocks + 1)])
+
+
+def characteristic_exponent(rule, n, steps):
+    """Mean absolute successive difference of compressed lengths over
+    initial conditions 1..n, divided by the runtime ``steps``.  Values
+    above 1 signal a phase transition."""
+    return _exponent_sequence(rule, n, steps, 1)[0]
+
+
+def transition_sequence(rule, n, t_block, blocks, threads=None):
+    """Characteristic exponents of ``rule`` at runtimes t_block, 2*t_block,
+    ..., blocks*t_block, all measured inside the full-runtime window, so
+    each initial condition is evolved and encoded only once."""
+    if blocks < 2:
+        raise ValueError("need at least two blocks to see a trend")
+    return _exponent_sequence(rule, n, t_block, blocks, threads)
 
 
 def least_squares_fit(seq):
@@ -342,16 +309,16 @@ class CoefficientReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def coefficient_classification(rules, n=20, t_block=75, blocks=4, clusters=2,
+def coefficient_classification(rules, n=20, t_block=75, blocks=4,
                                threads=None):
     """Rank a rule set by transition coefficient (largest first) and split
-    the coefficients into ``clusters`` groups by largest gaps."""
+    the coefficients into two groups at the largest gap."""
     rules = list(rules)
     if not rules:
         raise ValueError("rule set must be non-empty")
     records = _parallel_map(
         lambda r: transition_record(r, n, t_block, blocks), rules, threads)
     records.sort(key=lambda rec: (-rec.C, rec.rule.rule_number))
-    k = min(clusters, len(set(rec.C for rec in records)))
+    k = min(2, len(set(rec.C for rec in records)))
     ids = cluster_1d([rec.C for rec in records], k)
     return CoefficientReport(tuple(records), tuple(ids))

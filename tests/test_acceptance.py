@@ -10,13 +10,13 @@ import random
 
 import pytest
 
-from ccl import (TM, RuleSpec, characteristic_exponent,
-                 coefficient_classification, compressed_length, deflate,
-                 detect_spikes, encode_diagram, evolve_ca, ic_profile,
-                 initial_condition, initial_condition_number,
-                 least_squares_fit, reached_states_sequence,
-                 sample_rule_space)
+from ccl import (TM, RuleSpec, coefficient_classification,
+                 compressed_length, deflate, detect_spikes, encode_diagram,
+                 evolve_ca, ic_profile, initial_condition,
+                 initial_condition_number, least_squares_fit,
+                 reached_states_sequence, sample_rule_space)
 from ccl.cli import main
+from ccl.transition import _exponents
 from oracles import damerau_levenshtein
 from rfc1951 import inflate
 
@@ -61,8 +61,7 @@ def test_criterion_04_exponent_formula_matches_oracle():
         n = rng.randint(2, 12)
         t = rng.randint(1, 500)
         table = {j: rng.randint(0, 10 ** 6) for j in range(1, n + 1)}
-        got = characteristic_exponent(None, n, t,
-                                      length_fn=table.__getitem__)
+        got = _exponents([[table[j]] for j in range(1, n + 1)], [t])[0]
         want = sum(
             abs(table[j + 1] - table[j]) for j in range(1, n)
         ) / ((n - 1) * t)

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -12,8 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl import RuleSpec, cluster_1d, rank_rules, transition, with_clusters
-from ccl.cli import main
+from ccl import (RuleSpec, classify_eca, cluster_1d,
+                 coefficient_classification, complexity,
+                 interesting_initial_conditions, rank_rules,
+                 transition_coefficient, transition_record, with_clusters)
+from ccl.cli import _PARAMS, main
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -66,6 +70,22 @@ def read_tree(root):
         p.name: p.read_bytes() for p in sorted(Path(root).iterdir())
         if p.is_file()
     }
+
+
+@pytest.fixture
+def evolutions(monkeypatch):
+    """The arguments of every CA evolution run during the test, recorded
+    by a stand-in for ``evolve_ca`` in ``ccl.complexity``, the one module
+    that evolves a CA for a measurement."""
+    evolved = []
+    evolve = complexity.evolve_ca
+
+    def counting_evolve(*args, **kwargs):
+        evolved.append(args)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(complexity, "evolve_ca", counting_evolve)
+    return evolved
 
 
 def test_classify_explicit_rules(tmp_path):
@@ -135,21 +155,29 @@ def test_unknown_config_key_rejected(tmp_path):
     ("transition", {**SMALL["transition"], "threshold": float("-inf")}),
     ("profile", {**SMALL["profile"], "q": -1.0}),
     ("classify", {"rules": [30, 30]}),
+    ("classify", {"colors": 11, "rules": [5], "steps": 5}),
+    ("profile", {**SMALL["profile"], "rule": 10, "colors": 11}),
+    ("transition", {**SMALL["transition"], "rules": [5], "colors": 11}),
 ], ids=["steps-null", "steps-true", "steps-float", "colors-11-sampled",
         "threshold-null", "rules-item-null", "ic-item-null",
         "rules-item-float", "rules-item-true", "normalize-string",
         "exhaustive-string", "transition-top-negative",
         "tm-search-top-negative", "q-nan", "q-infinity",
         "threshold-infinity", "threshold-minus-infinity", "q-negative",
-        "rules-repeated"])
-def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys, command,
-                                                config):
+        "rules-repeated", "classify-colors-11", "profile-colors-11",
+        "transition-colors-11"])
+def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys,
+                                                evolutions, command, config):
+    """The run is rejected before a single evolution is computed."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
-    assert main([command, "--config", str(cfg),
-                 "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 "--create"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ccl: ") and err.count("\n") == 1
+    assert not out.exists()
+    assert evolutions == []
 
 
 def _wrong_type_cases():
@@ -201,26 +229,19 @@ def test_every_key_rejects_a_wrong_json_type(tmp_path, capsys, command, key,
     ["profile", "--rule", "22", "--q", "nan"],
     ["profile", "--rule", "22", "--q", "-1"],
     ["transition", "--rules", "22,22", "--top", "2"],
+    ["classify", "--colors", "11", "--rules", "5,10", "--steps", "5"],
 ], ids=["tm-search-top", "transition-top", "transition-blocks",
         "transition-n", "transition-count-0", "transition-profile-steps-21",
         "transition-profile-steps-0", "transition-top-0-count-0", "q-nan",
-        "q-negative", "transition-rules-repeated"])
-def test_bad_flag_values_exit_2_before_writing(tmp_path, capsys, monkeypatch,
+        "q-negative", "transition-rules-repeated", "classify-colors-11"])
+def test_bad_flag_values_exit_2_before_writing(tmp_path, capsys, evolutions,
                                                argv):
     """The run is rejected before a single evolution is computed."""
-    evolved = []
-    evolve = transition.evolve_ca
-
-    def counting_evolve(*args, **kwargs):
-        evolved.append(args)
-        return evolve(*args, **kwargs)
-
-    monkeypatch.setattr(transition, "evolve_ca", counting_evolve)
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ccl: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
-    assert evolved == []
+    assert evolutions == []
 
 
 def _json_value(default):
@@ -339,6 +360,30 @@ def test_manifest_records_every_parameter(tmp_path, argv, given):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == argv[0]
     assert manifest["parameters"] == {**DEFAULTS[argv[0]], **given}
+
+
+# (command, key, library function, parameter) for every CLI default that a
+# library function also declares.
+LIBRARY_DEFAULTS = [
+    *[("transition", key, fn, key)
+      for fn in (coefficient_classification, transition_record,
+                 transition_coefficient)
+      for key in ("n", "t_block", "blocks")],
+    *[("transition", key, interesting_initial_conditions, parameter)
+      for key, parameter in (("count", "count"), ("profile_steps", "t"),
+                             ("profile_blocks", "blocks"), ("scan", "m"),
+                             ("threshold", "threshold"))],
+    ("classify", "steps", classify_eca, "steps"),
+    ("classify", "split_levels", classify_eca, "split_levels"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, key, function, parameter", LIBRARY_DEFAULTS,
+    ids=[f"{c}-{k}-{f.__name__}" for c, k, f, _ in LIBRARY_DEFAULTS])
+def test_cli_defaults_match_the_library(command, key, function, parameter):
+    library = inspect.signature(function).parameters[parameter].default
+    assert _PARAMS[command][key].default == library
 
 
 COMMON_OPTIONS = ["-h", "--help", "--config", "--out", "--create", "--seed",

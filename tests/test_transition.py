@@ -9,58 +9,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccl import (RuleSpec, characteristic_exponent, coefficient_classification,
-                 detect_spikes, ic_profile, interesting_initial_conditions,
-                 least_squares_fit, transition_coefficient, transition_record,
-                 transition_sequence)
-from ccl.transition import _window_width
+                 compressed_length, detect_spikes, encode_diagram, evolve_ca,
+                 ic_profile, initial_condition, interesting_initial_conditions,
+                 least_squares_fit, transition, transition_coefficient,
+                 transition_record, transition_sequence)
+from ccl.transition import _exponents, _window_width
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
 
-def stub(table):
-    return lambda j: table[j]
+def exponent(lengths, t):
+    """The one exponent formula over the lengths of consecutive initial
+    conditions, run for ``t`` steps."""
+    return _exponents([[c] for c in lengths], [t])[0]
 
 
 class TestCharacteristicExponent:
     def test_worked_example(self):
-        fn = stub({1: 10, 2: 20, 3: 40})
-        assert characteristic_exponent(None, 3, 10, length_fn=fn) == 1.5
+        assert exponent([10, 20, 40], 10) == 1.5
 
     def test_constant_lengths_give_zero(self):
-        fn = stub({j: 77 for j in range(1, 9)})
-        assert characteristic_exponent(None, 8, 25, length_fn=fn) == 0.0
+        assert exponent([77] * 8, 25) == 0.0
 
-    def test_max_reduction(self):
-        fn = stub({1: 10, 2: 20, 3: 40})
-        got = characteristic_exponent(None, 3, 10, reduce="max",
-                                      length_fn=fn)
-        assert got == 2.0
-
-    def test_include_zero_shifts_the_window(self):
+    def test_measures_conditions_one_to_n(self, monkeypatch):
         seen = []
 
-        def fn(j):
+        def fake_prefix_lengths(rule, j, t_block, blocks, width):
             seen.append(j)
-            return j
+            return [j] * blocks
 
-        characteristic_exponent(None, 4, 5, length_fn=fn)
+        monkeypatch.setattr(transition, "_prefix_lengths",
+                            fake_prefix_lengths)
+        characteristic_exponent(RuleSpec.eca(22), 4, 5)
         assert seen == [1, 2, 3, 4]
-        seen.clear()
-        characteristic_exponent(None, 4, 5, include_zero=True, length_fn=fn)
-        assert seen == [0, 1, 2, 3]
 
     def test_scale_covariance(self):
-        table = {j: 11.0 * j * j for j in range(1, 7)}
-        base = characteristic_exponent(None, 6, 9, length_fn=stub(table))
-        scaled = characteristic_exponent(
-            None, 6, 9, length_fn=stub({j: 5 * v for j, v in table.items()})
-        )
+        lengths = [11.0 * j * j for j in range(1, 7)]
+        base = exponent(lengths, 9)
+        scaled = exponent([5 * c for c in lengths], 9)
         assert scaled == pytest.approx(5 * base, rel=1e-12)
 
     def test_doubling_time_halves_the_value(self):
-        fn = stub({j: 100 + 7 * j for j in range(1, 6)})
-        a = characteristic_exponent(None, 5, 30, length_fn=fn)
-        b = characteristic_exponent(None, 5, 60, length_fn=fn)
+        lengths = [100 + 7 * j for j in range(1, 6)]
+        a = exponent(lengths, 30)
+        b = exponent(lengths, 60)
         assert a == pytest.approx(2 * b, rel=1e-12)
 
     @settings(max_examples=150, deadline=None)
@@ -71,33 +63,19 @@ class TestCharacteristicExponent:
     )
     def test_matches_one_line_oracle(self, lengths, t):
         n = len(lengths)
-        fn = stub(dict(enumerate(lengths, start=1)))
-        got = characteristic_exponent(None, n, t, length_fn=fn)
+        got = exponent(lengths, t)
         want = sum(
             abs(lengths[i + 1] - lengths[i]) for i in range(n - 1)
         ) / (t * (n - 1))
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
-    def test_volume_normalization(self):
-        rule = RuleSpec.eca(22)
-        t = 30
-        by_t = characteristic_exponent(rule, 4, t)
-        by_volume = characteristic_exponent(rule, 4, t, normalize="volume")
-        width = _window_width(range(1, 5), t)
-        assert by_volume == pytest.approx(
-            by_t * t / (width * (t + 1)), rel=1e-12
-        )
-
     def test_nonnegative_and_parameter_checks(self):
-        fn = stub({1: 3, 2: 9})
-        assert characteristic_exponent(None, 2, 4, length_fn=fn) >= 0
+        rule = RuleSpec.eca(22)
+        assert characteristic_exponent(rule, 2, 4) >= 0
         with pytest.raises(ValueError):
-            characteristic_exponent(None, 1, 4, length_fn=fn)
+            characteristic_exponent(rule, 1, 4)
         with pytest.raises(ValueError):
-            characteristic_exponent(None, 2, 0, length_fn=fn)
-        with pytest.raises(ValueError):
-            characteristic_exponent(None, 2, 4, reduce="median",
-                                    length_fn=fn)
+            characteristic_exponent(rule, 2, 0)
 
 
 class TestLeastSquaresFit:
@@ -183,29 +161,24 @@ class TestTransitionSequence:
         rule = RuleSpec.eca(22)
         n, t_block, blocks = 4, 20, 3
         seq = transition_sequence(rule, n, t_block, blocks)
-        width = _window_width(range(1, n + 1), t_block * blocks)
+        w = _window_width(range(1, n + 1), t_block * blocks)
         for b in range(1, blocks + 1):
-            direct = characteristic_exponent(rule, n, b * t_block,
-                                             width=width)
-            assert seq[b - 1] == direct
+            lengths = [
+                compressed_length(encode_diagram(evolve_ca(
+                    rule, initial_condition(j), b * t_block, width=w)))
+                for j in range(1, n + 1)
+            ]
+            diffs = [abs(hi - lo) for lo, hi in zip(lengths, lengths[1:])]
+            assert seq[b - 1] == sum(diffs) / len(diffs) / (b * t_block)
 
     def test_needs_two_blocks(self):
         with pytest.raises(ValueError):
             transition_sequence(RuleSpec.eca(22), 4, 20, 1)
 
-    def test_rejects_an_unknown_reduce(self):
-        # "median" must not fall through to the mean ([0.45, 0.275]).
-        with pytest.raises(ValueError):
-            transition_sequence(RuleSpec.eca(22), 3, 10, 2, reduce="median")
-
     def test_stub_free_zero_composition(self):
         # a system whose lengths ignore the initial condition has an
         # identically zero sequence and coefficient, with no tolerance.
-        seq = [
-            characteristic_exponent(None, 5, t,
-                                    length_fn=lambda j: 1234)
-            for t in (10, 20, 30, 40)
-        ]
+        seq = [exponent([1234] * 5, t) for t in (10, 20, 30, 40)]
         assert seq == [0.0, 0.0, 0.0, 0.0]
         assert least_squares_fit(seq) == (0.0, 0.0)
 
@@ -224,9 +197,6 @@ class TestIcProfile:
         assert profile.steps == 40
         # spot-check one entry against a direct measurement in the same
         # window.
-        from ccl import compressed_length, encode_diagram, evolve_ca
-        from ccl.initcond import initial_condition
-
         width = _window_width(range(6), 40)
         want = compressed_length(
             encode_diagram(evolve_ca(rule, initial_condition(3), 40,
