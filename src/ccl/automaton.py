@@ -10,6 +10,7 @@ neighborhood to a nonzero color -- free of artificial boundary wedges.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -194,30 +195,35 @@ def evolve_ca(rule, init, steps, width=None):
     return SpaceTimeDiagram(width, grid)
 
 
-def _tm_table(rule):
-    """Decode a TM rule number into a tuple of (new_state, new_color, move)
-    actions indexed by state*k + color.
+def _run(rule):
+    """Yield the state of ``rule`` at each step 0, 1, ... from the blank
+    tape; end once the state can never change again.
 
-    The number written in base 2*s*k has s*k digits (most significant
-    first).  Digit d splits as d = new_state*(2k) + new_color*2 + (0 if the
-    head moves right else 1).
+    Digit state*k + color of the rule number in base 2*s*k (s*k digits,
+    most significant first) is new_state*(2k) + new_color*2 + (0 if the
+    head moves right else 1).  The run ends when the head is on a cell it
+    has never left (so blank) and the (state, blank) action keeps the state
+    and moves away from all cells left so far, as it then does forever.
+    At step 0 no cell has been left, so either move counts.
     """
     if rule.kind != TM:
         raise ValueError("expected a TM rule")
-    s, k = rule.states, rule.colors
-    base = 2 * s * k
-    digits = []
-    n = rule.rule_number
-    for _ in range(s * k):
-        digits.append(n % base)
-        n //= base
-    digits.reverse()
-    table = []
-    for d in digits:
-        new_state, r = divmod(d, 2 * k)
-        new_color, odd = divmod(r, 2)
-        table.append((new_state, new_color, 1 if odd == 0 else -1))
-    return tuple(table)
+    k, n = rule.colors, rule.rule_number
+    base, last = 2 * rule.states * k, rule.states * k - 1
+    actions, tape, head, state = {}, {}, 0, 0
+    lo, hi = 1, -1  # the cells the head has left: none yet
+    while True:
+        yield state
+        i = state * k + tape.get(head, 0)
+        if i not in actions:
+            d = n // base ** (last - i) % base
+            actions[i] = (d // (2 * k), d // 2 % k, 1 - d % 2 * 2)
+        new_state, tape[head], move = actions[i]
+        if new_state == state and (head > hi if move > 0 else head < lo):
+            return
+        lo, hi = min(lo, head), max(hi, head)
+        head += move
+        state = new_state
 
 
 def reached_states_sequence(rule, steps):
@@ -227,35 +233,26 @@ def reached_states_sequence(rule, steps):
     The sequence starts at 1 (the start state), never decreases, and is
     bounded by the state count.  It is the object whose compressed length
     stands in for the machine's complexity.  The count steps up by one at
-    the first occurrence of each state in :func:`state_sequence`.
+    the first occurrence of each state in :func:`state_sequence`, so the
+    run stops once every state has occurred.
     """
-    states = state_sequence(rule, steps)
-    firsts = sorted(map(states.index, set(states)))
-    firsts.append(len(states))
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    firsts = {}
+    for step, state in zip(range(steps + 1), _run(rule)):
+        firsts.setdefault(state, step)
+        if len(firsts) == rule.states:
+            break
     out = []
-    for count in range(1, len(firsts)):
-        out += [count] * (firsts[count] - firsts[count - 1])
+    for count, end in enumerate([*firsts.values(), steps + 1]):
+        out += [count] * (end - len(out))
     return out
 
 
 def state_sequence(rule, steps):
     """The raw state occupied at each step 0..steps of ``rule`` run from
-    the blank tape; the one Turing-machine runner, from which
-    :func:`reached_states_sequence` derives its counts."""
+    the blank tape; a settled state is repeated to the last step."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    table = _tm_table(rule)
-    k = rule.colors
-    tape = {}
-    head = 0
-    state = 0
-    out = [0]
-    for _ in range(steps):
-        state, new_color, move = table[state * k + tape.get(head, 0)]
-        if new_color:
-            tape[head] = new_color
-        else:
-            tape.pop(head, None)
-        head += move
-        out.append(state)
-    return out
+    out = list(islice(_run(rule), steps + 1))
+    return out + out[-1:] * (steps + 1 - len(out))

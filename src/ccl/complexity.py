@@ -21,6 +21,10 @@ COMPRESSOR = {"level": 6, "window_bits": -15, "mem_level": 8, "strategy": 0,
               "id": "deflate-l6w15s0m8"}
 
 
+_DIGITS = bytes(range(10))  # the values 0..9; _ASCII maps each to its digit
+_ASCII = bytes.maketrans(_DIGITS, b"0123456789")
+
+
 @dataclass(frozen=True)
 class ComplexityEstimate:
     raw_length: int
@@ -81,10 +85,14 @@ def encode_diagram(diagram):
 
 def encode_sequence(values):
     """Canonical byte form of a flat value sequence (a one-row diagram)."""
-    values = list(values)
-    if any(v < 0 or v > 9 for v in values):
+    values = list(values)  # bytes() of a numpy array reads its raw buffer
+    try:
+        raw = bytes(values)
+    except ValueError:  # a value outside 0..255, so no digit either
+        raw = b"\xff"
+    if raw.translate(None, _DIGITS):
         raise ValueError("canonical encoding supports values 0..9 only")
-    return bytes(ord("0") + v for v in values) + b"\n"
+    return raw.translate(_ASCII) + b"\n"
 
 
 def _estimate(data):
@@ -109,16 +117,17 @@ def ca_complexity(rule, init, steps):
 
 
 def tm_complexity(rule, steps, sequence="reached"):
-    """Compress a Turing machine's state usage over time.
-
-    ``sequence`` selects what is measured: ``"reached"`` (default) feeds the
-    cumulative distinct-state count per step, ``"states"`` the raw state at
-    each step.
+    """Compress a Turing machine's state usage over time: ``"reached"``
+    (default) feeds the cumulative distinct-state count per step,
+    ``"states"`` the raw state at each step.  A machine with more states
+    than the measure has digits for is refused before it is run.
     """
     if sequence == "reached":
-        seq = reached_states_sequence(rule, steps)
+        run, most = reached_states_sequence, 9
     elif sequence == "states":
-        seq = state_sequence(rule, steps)
+        run, most = state_sequence, 10
     else:
         raise ValueError("sequence must be 'reached' or 'states'")
-    return _estimate(encode_sequence(seq))
+    if rule.states > most:
+        raise ValueError(f"the {sequence} measure takes at most {most} states")
+    return _estimate(encode_sequence(run(rule, steps)))

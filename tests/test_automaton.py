@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from ccl import (CA, TM, RuleSpec, evolve_ca, reached_states_sequence,
                  state_sequence)
-from ccl.automaton import _bits_to_cells, _evolve_bits, _evolve_lookup
+from ccl import automaton
+from ccl.automaton import _bits_to_cells, _evolve_bits, _evolve_lookup, _run
 from oracles import BLANK_TM, TmConfiguration, ca_step, tm_step
 
 
@@ -268,20 +271,87 @@ class TestTuringMachine:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_runners_match_the_stepping_oracle(self, data):
-        states = data.draw(st.integers(min_value=1, max_value=3))
-        colors = data.draw(st.integers(min_value=2, max_value=3))
+        states = data.draw(st.integers(min_value=1, max_value=4))
+        colors = data.draw(st.integers(min_value=2, max_value=4))
         space = (2 * states * colors) ** (states * colors)
         rule = RuleSpec.tm(states, colors,
                            data.draw(st.integers(0, space - 1)))
         steps = data.draw(st.integers(min_value=0, max_value=120))
-        cfg, visited = BLANK_TM, [BLANK_TM.state]
-        for _ in range(steps):
-            cfg = tm_step(cfg, rule)
-            visited.append(cfg.state)
-        assert state_sequence(rule, steps) == visited
-        assert reached_states_sequence(rule, steps) == [
-            len(set(visited[: j + 1])) for j in range(steps + 1)
-        ]
+        check_against_oracle(rule, steps)
+
+
+def oracle_states(rule, steps):
+    """The state at each step 0..steps, by the stepping oracle."""
+    cfg, visited = BLANK_TM, [BLANK_TM.state]
+    for _ in range(steps):
+        cfg = tm_step(cfg, rule)
+        visited.append(cfg.state)
+    return visited
+
+
+def check_against_oracle(rule, steps):
+    visited = oracle_states(rule, steps)
+    assert state_sequence(rule, steps) == visited
+    assert reached_states_sequence(rule, steps) == [
+        len(set(visited[: j + 1])) for j in range(steps + 1)
+    ]
+
+
+class TestLazyRunner:
+    """``_run`` ends once the state can never change again; the public
+    sequences read its end as "stays in the last state"."""
+
+    @pytest.mark.parametrize("move", [+1, -1])
+    def test_stuck_at_step_zero(self, move):
+        # (state 0, blank) keeps state 0, so each step meets a fresh cell;
+        # every other entry would switch to state 1.
+        rule = tm_rule_from_digits([action(0, 2, move)]
+                                   + [action(1, 1, -move)] * 5)
+        assert list(islice(_run(rule), 100)) == [0]
+        check_against_oracle(rule, 60)
+
+    def test_stuck_later_on_the_left_edge(self):
+        # Step 0 goes right into state 1; state 1 then walks left over the
+        # visited cells 1 and 0 and ends on the fresh cell -1, whose
+        # (state 1, blank) entry keeps state 1 and moves further left.
+        digits = [action(0, 0, +1)] * 6
+        digits[0] = action(1, 1, +1)
+        digits[3] = action(1, 1, -1)
+        digits[4] = action(1, 1, -1)
+        rule = tm_rule_from_digits(digits)
+        assert list(islice(_run(rule), 100)) == [0, 1, 1, 1]
+        check_against_oracle(rule, 60)
+
+    def test_fresh_cell_entry_moving_inward_does_not_stop(self):
+        # At step 1 the head is on the fresh cell 1 and (state 1, blank)
+        # keeps state 1, but moves back onto cell 0, where state 1 reads
+        # the 1 written at step 0 and switches back to state 0.
+        digits = [action(1, 0, +1)] * 6
+        digits[0] = action(1, 1, +1)
+        digits[3] = action(1, 0, -1)
+        digits[4] = action(0, 1, +1)
+        rule = tm_rule_from_digits(digits)
+        assert state_sequence(rule, 6) == [0, 1, 1, 0, 1, 1, 0]
+        assert len(list(islice(_run(rule), 100))) == 100
+        check_against_oracle(rule, 60)
+
+    def test_reached_stops_reading_once_every_state_occurred(
+            self, monkeypatch):
+        # Ping-pong: both states occur by step 1, and the raw state keeps
+        # changing at every step after that.
+        rule = tm_rule_from_digits(
+            [action(1, 0, +1), 0, 0, action(0, 0, +1), 0, 0])
+        assert state_sequence(rule, 50) == [0, 1] * 25 + [0]
+        read, run = [], automaton._run
+
+        def counting(rule):
+            for state in run(rule):
+                read.append(state)
+                yield state
+
+        monkeypatch.setattr(automaton, "_run", counting)
+        assert reached_states_sequence(rule, 50) == [1] + [2] * 50
+        assert read == [0, 1]
 
 
 def format_bits_to_cells(rows, width):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccl import automaton
 from ccl import (COMPRESSOR, RuleSpec, SpaceTimeDiagram, ca_complexity,
                  compressed_length, deflate, encode_diagram, encode_sequence,
                  evolve_ca, prefix_compressed_lengths, tm_complexity)
@@ -48,6 +49,21 @@ class TestEncoding:
 
     def test_sequence_form(self):
         assert encode_sequence([1, 2, 2]) == b"122\n"
+
+    def test_sequence_from_numpy_matches_the_list(self):
+        # bytes() of the array itself would read its 8-byte int64 buffer.
+        values = [0, 3, 9, 1]
+        got = encode_sequence(np.array(values, dtype=np.int64))
+        assert got == encode_sequence(values) == b"0391\n"
+
+    @pytest.mark.parametrize("bad", [10, -1, 256])
+    def test_sequence_values_outside_digits_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^canonical encoding supports "
+                           r"values 0\.\.9 only$"):
+            encode_sequence([1, bad, 2])
+
+    def test_empty_sequence_is_one_newline(self):
+        assert encode_sequence([]) == b"\n"
 
 
 class TestCompressedLength:
@@ -205,6 +221,15 @@ class TestCaComplexity:
         assert chaotic[-1] - chaotic[0] > 3 * (flat[-1] - flat[0])
 
 
+def counter_machine(states):
+    """A 2-color machine whose every entry goes to state q+1 mod
+    ``states``, writes 0 and moves right."""
+    return tm_rule_from_digits(
+        [action((q + 1) % states, 0, +1, colors=2)
+         for q in range(states) for _ in range(2)],
+        states=states, colors=2)
+
+
 class TestTmComplexity:
     def test_never_switching_machine_equals_constant_sequence(self):
         est = tm_complexity(RuleSpec.tm(2, 3, 0), 120)
@@ -233,6 +258,24 @@ class TestTmComplexity:
         assert tm_complexity(once, t).compressed_length >= tm_complexity(
             still, t
         ).compressed_length
+
+    @pytest.mark.parametrize("sequence, states", [("reached", 10),
+                                                  ("states", 11)])
+    def test_refuses_more_states_than_digits_before_running(
+            self, monkeypatch, sequence, states):
+        def run(rule):
+            raise AssertionError("the machine was run")
+
+        monkeypatch.setattr(automaton, "_run", run)
+        for rule in (RuleSpec.tm(states, 2, 0), counter_machine(states)):
+            with pytest.raises(ValueError,
+                               match=f"takes at most {states - 1} states"):
+                tm_complexity(rule, 200, sequence)
+
+    def test_ten_states_fit_the_raw_state_measure(self):
+        est = tm_complexity(counter_machine(10), 200, sequence="states")
+        want = encode_sequence([j % 10 for j in range(201)])
+        assert est.compressed_length == compressed_length(want)
 
     def test_unknown_sequence_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ The acceptance tests check memberships and orderings, which an off-by-one
 row in a block prefix or a different zlib build can leave intact.  This
 file pins the lengths themselves: every ECA at t=200 from IC 0, the block
 prefix lengths of five rules at the coefficient-sweep and interesting-IC
-settings, and a seeded 3-colour sample.
+settings, a seeded 3-colour sample, and both Turing-machine measures of a
+seeded sample of 2- to 4-state machines.
 
 Re-record (only when lengths change on purpose) with
 
@@ -15,7 +16,8 @@ import json
 import zlib
 from pathlib import Path
 
-from ccl import CA, RuleSpec, ca_complexity, initial_condition
+from ccl import (CA, TM, RuleSpec, ca_complexity, initial_condition,
+                 tm_complexity)
 from ccl.classify import sample_rule_space
 from ccl.complexity import COMPRESSOR
 from ccl.transition import _prefix_lengths, _window_width
@@ -28,6 +30,9 @@ SWEEPS = (("coefficient", range(1, 21), 75, 4),
           ("interesting", range(0, 30), 50, 12))
 STEPS = 200
 K3_SEED, K3_SIZE = 0, 10
+# (states, colors) shapes of the Turing-machine sample, TM_SIZE machines each.
+TM_SHAPES = tuple((s, k) for s in (2, 3, 4) for k in (2, 3))
+TM_SEED, TM_SIZE = 0, 50
 
 
 def compute():
@@ -50,7 +55,22 @@ def compute():
         .compressed_length
         for spec in sample_rule_space(CA, 3, 1, K3_SIZE, K3_SEED)
     }
+    doc["tm_t200"] = {
+        f"{s},{k},{spec.rule_number}": _tm_lengths(spec)
+        for s, k in TM_SHAPES
+        for spec in sample_rule_space(TM, k, s, TM_SIZE, TM_SEED)
+    }
     return doc
+
+
+def _tm_lengths(spec):
+    """Raw and compressed length of the "reached" measure, then of the
+    "states" measure."""
+    out = []
+    for measure in ("reached", "states"):
+        est = tm_complexity(spec, STEPS, measure)
+        out += [est.raw_length, est.compressed_length]
+    return out
 
 
 def test_lengths_match_golden():
