@@ -5,20 +5,25 @@ row in a block prefix or a different zlib build can leave intact.  This
 file pins the lengths themselves: every ECA at t=200 from IC 0, the block
 prefix lengths of five rules at the coefficient-sweep and interesting-IC
 settings, a seeded 3-colour sample, and both Turing-machine measures of a
-seeded sample of 2- to 4-state machines.
+seeded sample of 2- to 4-state machines.  It also pins the sha256 of every
+file that one small command-line run of each subcommand writes, so a change
+to how a report is rendered shows here and not only in the benchmark.
 
 Re-record (only when lengths change on purpose) with
 
     PYTHONPATH=src python tests/test_golden_lengths.py
 """
 
+import hashlib
 import json
+import tempfile
 import zlib
 from pathlib import Path
 
 from ccl import (CA, TM, RuleSpec, ca_complexity, initial_condition,
                  tm_complexity)
 from ccl.classify import sample_rule_space
+from ccl.cli import main
 from ccl.complexity import COMPRESSOR
 from ccl.transition import _prefix_lengths, _window_width
 
@@ -33,6 +38,27 @@ K3_SEED, K3_SIZE = 0, 10
 # (states, colors) shapes of the Turing-machine sample, TM_SIZE machines each.
 TM_SHAPES = tuple((s, k) for s in (2, 3, 4) for k in (2, 3))
 TM_SEED, TM_SIZE = 0, 50
+# One small run per subcommand, named by its key in "outputs".  The
+# 3-colour sample has rule numbers above 10**12, the normalized profile
+# writes floats to its CSV.
+OUTPUT_RUNS = {
+    "classify": ["classify", "--rules", "0,30,90,110", "--steps", "20",
+                 "--split-levels", "2"],
+    "classify-k3": ["classify", "--colors", "3", "--sample-size", "3",
+                    "--steps", "10", "--seed", "7"],
+    "transition": ["transition", "--rules", "22,30", "--n", "3",
+                   "--t-block", "10", "--blocks", "2", "--top", "2",
+                   "--count", "2", "--scan", "4", "--profile-steps", "20",
+                   "--profile-blocks", "2"],
+    "profile": ["profile", "--rule", "22", "--ic-count", "4", "--steps",
+                "20"],
+    "profile-normalized": ["profile", "--rule", "30", "--ic-count", "5",
+                           "--steps", "20", "--normalize"],
+    "tm-search": ["tm-search", "--states", "2", "--colors", "2",
+                  "--sample-size", "20", "--steps", "20", "--top", "5"],
+    "sample": ["sample", "--kind", "TM", "--colors", "3", "--sample-size",
+               "5"],
+}
 
 
 def compute():
@@ -60,7 +86,18 @@ def compute():
         for s, k in TM_SHAPES
         for spec in sample_rule_space(TM, k, s, TM_SIZE, TM_SEED)
     }
+    doc["outputs"] = {name: _output_digests(argv)
+                      for name, argv in OUTPUT_RUNS.items()}
     return doc
+
+
+def _output_digests(argv):
+    """sha256 of each file the command line ``argv`` writes, by name."""
+    with tempfile.TemporaryDirectory() as out:
+        if main([*argv, "--out", out]) != 0:
+            raise RuntimeError(f"ccl {' '.join(argv)} failed")
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(Path(out).iterdir())}
 
 
 def _tm_lengths(spec):
