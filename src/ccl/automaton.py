@@ -37,18 +37,34 @@ class RuleSpec:
             raise ValueError("CA rules have states = 1")
         if self.kind == TM and self.states < 1:
             raise ValueError("states must be >= 1")
-        if not 0 <= self.rule_number < self.space_size:
+        if self.rule_number < 0 or not self._space_exceeds(self.rule_number):
+            base, digits = self._space
             raise ValueError(
                 f"rule_number {self.rule_number} outside the "
-                f"{self.space_size}-rule space"
+                f"{base}**{digits}-rule space"
             )
+
+    @property
+    def _space(self):
+        """(base, digits): rule numbers have ``digits`` digits in ``base``."""
+        if self.kind == CA:
+            return self.colors, self.colors ** 3
+        return 2 * self.states * self.colors, self.states * self.colors
 
     @property
     def space_size(self):
         """Number of distinct rules of this shape."""
-        if self.kind == CA:
-            return self.colors ** (self.colors ** 3)
-        return (2 * self.states * self.colors) ** (self.states * self.colors)
+        base, digits = self._space
+        return base ** digits
+
+    def _space_exceeds(self, n):
+        """Whether the space holds more than ``n`` rules.  The size has
+        millions of digits at 300 colors; as 2**(digits*(b-1)) <= size <
+        2**(digits*b) for a base of b bits, it is built only for an ``n`` of
+        more than digits*(b-1) bits, and then has at most twice n's bits."""
+        base, digits = self._space
+        return (int(n).bit_length() <= digits * (base.bit_length() - 1)
+                or n < base ** digits)
 
     @classmethod
     def eca(cls, number):

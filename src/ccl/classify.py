@@ -5,7 +5,6 @@ roughly from trivial to chaotic; a one-dimensional largest-gap split of
 those lengths recovers the simple/complex behavioral divide.
 """
 
-import json
 import os
 import random
 import sys
@@ -13,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .automaton import CA, TM, RuleSpec
-from .complexity import COMPRESSOR, ca_complexity
+from .complexity import ca_complexity
 
 
 @dataclass(frozen=True)
@@ -33,36 +32,6 @@ class ClassificationReport:
     entries: tuple
     steps: int
     init: tuple
-
-    def to_csv(self):
-        lines = ["rule,kind,colors,c_raw,c_compressed,cluster"]
-        for e in self.entries:
-            lines.append(
-                f"{e.rule.rule_number},{e.rule.kind},{e.rule.colors},"
-                f"{e.c_raw},{e.c_compressed},{e.cluster}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json(self):
-        doc = {
-            "parameters": {
-                "steps": self.steps,
-                "init": list(self.init),
-                "compressor": COMPRESSOR["id"],
-            },
-            "entries": [
-                {
-                    "rule": e.rule.rule_number,
-                    "kind": e.rule.kind,
-                    "colors": e.rule.colors,
-                    "c_raw": e.c_raw,
-                    "c_compressed": e.c_compressed,
-                    "cluster": e.cluster,
-                }
-                for e in self.entries
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n"
 
     def cluster_members(self, cluster):
         return [e.rule.rule_number for e in self.entries if e.cluster == cluster]
@@ -102,31 +71,19 @@ def rank_rules(rules, init, steps, threads=None):
     return ClassificationReport(entries, steps, init)
 
 
-def cluster_1d(values, k):
-    """Split numbers into ``k`` clusters by cutting the k-1 largest gaps in
-    sorted order (equivalent to 1-D single-linkage agglomeration).
-
-    Ties on gap size cut at the leftmost position.  Returned ids follow the
-    input order; id 0 is the cluster with the smallest mean.
-    """
+def cluster_1d(values):
+    """Split numbers in two at the largest gap in sorted order, the
+    leftmost one on a tie: id 0 below the cut, 1 above, in input order.
+    Every id is 0 when all values are equal."""
     vals = list(values)
     if not vals:
         raise ValueError("values must be non-empty")
-    if not 1 <= k <= len(set(vals)):
-        raise ValueError("cluster count out of range")
-    order = sorted(range(len(vals)), key=lambda i: (vals[i], i))
-    svals = [vals[i] for i in order]
-    gaps = sorted(
-        ((-(svals[i + 1] - svals[i]), i) for i in range(len(svals) - 1))
-    )
-    cutset = {i for _, i in gaps[: k - 1]}
-    out = [0] * len(vals)
-    seg = 0
-    for pos, idx in enumerate(order):
-        out[idx] = seg
-        if pos in cutset:
-            seg += 1
-    return out
+    distinct = sorted(set(vals))
+    if len(distinct) == 1:
+        return [0] * len(vals)
+    cut = max(range(len(distinct) - 1),
+              key=lambda i: distinct[i + 1] - distinct[i])
+    return [int(v > distinct[cut]) for v in vals]
 
 
 def _recluster(report, only_cluster=None, base=0):
@@ -138,8 +95,7 @@ def _recluster(report, only_cluster=None, base=0):
               if only_cluster is None or e.cluster == only_cluster]
     if not picked:
         return entries
-    values = [entries[i].c_compressed for i in picked]
-    ids = cluster_1d(values, min(2, len(set(values))))
+    ids = cluster_1d(entries[i].c_compressed for i in picked)
     relabel = {i: base + c for i, c in zip(picked, ids)}
     return tuple(
         ClassificationEntry(e.rule, e.c_raw, e.c_compressed,
@@ -186,14 +142,15 @@ def sample_rule_space(kind, colors, states, size, seed):
     if size < 1:
         raise ValueError("sample size must be >= 1")
     states = states if kind == TM else 1
-    space = RuleSpec(kind, colors, 0, states).space_size
-    if size > space:
-        raise ValueError(f"sample size {size} exceeds space size {space}")
-    if space > sys.maxsize:
+    shape = RuleSpec(kind, colors, 0, states)
+    if not shape._space_exceeds(size - 1):
+        raise ValueError(
+            f"sample size {size} exceeds space size {shape.space_size}")
+    if shape._space_exceeds(sys.maxsize):
         raise ValueError(
             f"cannot sample a space of more than {sys.maxsize} rules; "
             "give an explicit rule list"
         )
     rng = random.Random(seed)
-    numbers = sorted(rng.sample(range(space), size))
+    numbers = sorted(rng.sample(range(shape.space_size), size))
     return [RuleSpec(kind, colors, n, states) for n in numbers]

@@ -2,10 +2,11 @@
 sweeps, per-rule profiles, and Turing-machine searches, driven by flags
 and/or a JSON config file.
 
-Each subcommand returns its report texts and one writer lands them, with
-manifest.json (exact parameters and compressor pin) last; rerunning with the
-same config and seed reproduces every output byte regardless of thread
-count.  Exit codes: 0 success, 2 invalid configuration, 3 I/O failure.
+Each subcommand renders plain report dicts through the one CSV and the one
+JSON renderer, and one writer lands the texts, with manifest.json (exact
+parameters and compressor pin) last; rerunning with the same config and seed
+reproduces every output byte regardless of thread count.  Exit codes: 0
+success, 2 invalid configuration, 3 I/O failure.
 """
 
 import argparse
@@ -188,10 +189,22 @@ def _write(outdir, files):
                 os.remove(tmp)
 
 
-def _per_ic_csv(column, values):
-    """One ``ic,<column>`` row per initial-condition number 0, 1, ..."""
-    rows = [f"{j},{format(v, '.12g')}\n" for j, v in enumerate(values)]
-    return f"ic,{column}\n" + "".join(rows)
+def _csv(columns, rows):
+    """CSV text: the header ``columns`` (comma-separated names), then one
+    line per row dict with those keys' values.  A float is written with
+    ``.12g``, anything else with ``str``: 3-color rule numbers pass 10**12,
+    where ``.12g`` would round them."""
+    names = columns.split(",")
+    lines = [columns]
+    for row in rows:
+        values = [row[name] for name in names]
+        lines.append(",".join(format(v, ".12g") if isinstance(v, float)
+                              else str(v) for v in values))
+    return "\n".join(lines) + "\n"
+
+
+def _json(doc, sort_keys=False):
+    return json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
 
 
 def cmd_classify(cfg, threads):
@@ -211,8 +224,16 @@ def cmd_classify(cfg, threads):
         )
     report = _classify(specs, cfg["ic"], cfg["steps"], threads,
                        cfg["split_levels"])
-    return {"classification.csv": report.to_csv(),
-            "classification.json": report.to_json(),
+    entries = [{"rule": e.rule.rule_number, "kind": e.rule.kind,
+                "colors": e.rule.colors, "c_raw": e.c_raw,
+                "c_compressed": e.c_compressed, "cluster": e.cluster}
+               for e in report.entries]
+    parameters = {"steps": report.steps, "init": list(report.init),
+                  "compressor": COMPRESSOR["id"]}
+    return {"classification.csv": _csv(
+                "rule,kind,colors,c_raw,c_compressed,cluster", entries),
+            "classification.json": _json({"parameters": parameters,
+                                          "entries": entries}),
             "ranking.svg": ranking_svg(report)}
 
 
@@ -229,24 +250,37 @@ def cmd_transition(cfg, threads):
     report = coefficient_classification(
         specs, cfg["n"], cfg["t_block"], cfg["blocks"], threads=threads,
     )
-    files = {"coefficients.csv": report.to_csv(),
-             "coefficients.json": report.to_json()}
+    entries = [{"rule": rec.rule.rule_number, "kind": rec.rule.kind,
+                "colors": rec.rule.colors, "n": rec.n,
+                "t_block": rec.t_block, "blocks": rec.blocks,
+                "S_c": list(rec.S_c), "intercept": rec.fit[0],
+                "coefficient": rec.C, "cluster": cluster}
+               for rec, cluster in zip(report.records, report.clusters)]
+    parameters = {"n": cfg["n"], "t_block": cfg["t_block"],
+                  "blocks": cfg["blocks"], "compressor": COMPRESSOR["id"]}
+    files = {"coefficients.csv": _csv("rule,kind,colors,coefficient,cluster",
+                                      entries),
+             "coefficients.json": _json({"parameters": parameters,
+                                         "entries": entries})}
     for rec in report.records:
         files[f"profile-{rec.rule.rule_number}.svg"] = transition_svg(rec)
     threshold = float(cfg["threshold"])
-    chosen = [rec.rule for rec in report.records[: cfg["top"]]]
-    results = []
-    for rule in chosen:
+    scans = []
+    for rec in report.records[: cfg["top"]]:
         found = interesting_initial_conditions(
-            rule, cfg["count"], cfg["profile_steps"], cfg["profile_blocks"],
-            cfg["scan"], threshold, threads=threads,
+            rec.rule, cfg["count"], cfg["profile_steps"],
+            cfg["profile_blocks"], cfg["scan"], threshold, threads=threads,
         )
-        results.append(found)
-        files[f"profile-{rule.rule_number}.csv"] = _per_ic_csv(
-            "score", found.profile)
-    files["interesting_ics.json"] = json.dumps(
-        {"threshold": threshold, "rules": [f.to_dict() for f in results]},
-        indent=2) + "\n"
+        scans.append({"rule": rec.rule.rule_number, "ics": list(found.ics),
+                      "profile": list(found.profile),
+                      "coefficient": found.coefficient,
+                      "threshold": found.threshold,
+                      "warning": found.warning})
+        files[f"profile-{rec.rule.rule_number}.csv"] = _csv(
+            "ic,score", [{"ic": j, "score": v}
+                         for j, v in enumerate(found.profile)])
+    files["interesting_ics.json"] = _json({"threshold": threshold,
+                                           "rules": scans})
     return files
 
 
@@ -258,40 +292,41 @@ def cmd_profile(cfg, threads):
                          cfg["normalize"], threads=threads)
     spikes = detect_spikes(profile, float(cfg["q"]))
     return {
-        f"profile-{rule.rule_number}.csv": _per_ic_csv("length",
-                                                       profile.lengths),
+        f"profile-{rule.rule_number}.csv": _csv(
+            "ic,length", [{"ic": j, "length": v}
+                          for j, v in enumerate(profile.lengths)]),
         f"profile-{rule.rule_number}.svg": profile_svg(
             profile, f"rule {rule.rule_number} profile (t={profile.steps})",
             spikes),
-        "spikes.json": json.dumps(
-            {"rule": rule.rule_number, "q": float(cfg["q"]),
-             "spikes": spikes}, indent=2) + "\n",
+        "spikes.json": _json({"rule": rule.rule_number, "q": float(cfg["q"]),
+                              "spikes": spikes}),
     }
 
 
 def cmd_tm_search(cfg, threads):
     states, colors = cfg["states"], cfg["colors"]
-    space = RuleSpec(TM, colors, 0, states).space_size
+    shape = RuleSpec(TM, colors, 0, states)
     if cfg["exhaustive"]:
-        if space > cfg["budget"]:
+        if shape._space_exceeds(cfg["budget"]):
+            base, digits = shape._space
             raise ConfigError(
-                f"exhaustive search over {space} machines exceeds the "
-                f"budget of {cfg['budget']}"
+                f"exhaustive search over {base}**{digits} machines exceeds "
+                f"the budget of {cfg['budget']}"
             )
-        specs = [RuleSpec(TM, colors, r, states) for r in range(space)]
+        specs = [RuleSpec(TM, colors, r, states)
+                 for r in range(shape.space_size)]
     else:
         specs = sample_rule_space(TM, colors, states, cfg["sample_size"],
                                   cfg["seed"])
-    estimates = [tm_complexity(r, cfg["steps"]) for r in specs]
     ranked = sorted(
-        zip(specs, estimates),
+        ((r, tm_complexity(r, cfg["steps"])) for r in specs),
         key=lambda p: (-p[1].compressed_length, p[0].rule_number),
     )[: cfg["top"]]
-    lines = ["rule,states,colors,c_raw,c_compressed"]
-    for rule, est in ranked:
-        lines.append(f"{rule.rule_number},{rule.states},{rule.colors},"
-                     f"{est.raw_length},{est.compressed_length}")
-    return {"tm_top.csv": "\n".join(lines) + "\n"}
+    entries = [{"rule": r.rule_number, "states": r.states,
+                "colors": r.colors, "c_raw": est.raw_length,
+                "c_compressed": est.compressed_length} for r, est in ranked]
+    return {"tm_top.csv": _csv("rule,states,colors,c_raw,c_compressed",
+                               entries)}
 
 
 def cmd_sample(cfg, threads):
@@ -307,7 +342,7 @@ def cmd_sample(cfg, threads):
         "seed": cfg["seed"],
         "rules": [r.rule_number for r in specs],
     }
-    return {"rules.json": json.dumps(doc, indent=2) + "\n"}
+    return {"rules.json": _json(doc)}
 
 
 _COMMANDS = {
@@ -373,10 +408,10 @@ def main(argv=None):
             "# raw DEFLATE (RFC 1951) compressor parameters\n" + "".join(
                 f"{key} = {value}\n" for key, value in COMPRESSOR.items()
                 if key != "id"))
-        files["manifest.json"] = json.dumps({
+        files["manifest.json"] = _json({
             "tool": "ccl", "version": __version__, "command": args.command,
             "parameters": cfg, "compressor": COMPRESSOR,
-        }, indent=2, sort_keys=True) + "\n"
+        }, sort_keys=True)
         _write(args.out, files)
     except (ConfigError, ValueError) as exc:
         print(f"ccl: {exc}", file=sys.stderr)

@@ -22,14 +22,12 @@ fills one table of lengths (initial conditions by runtime blocks); exponents
 and spikes come from one aggregation and one neighbour-rise rule over it.
 """
 
-import json
 import math
 import statistics
 from dataclasses import dataclass
 
 from .classify import _parallel_map, cluster_1d
-from .complexity import (COMPRESSOR, _encoded_evolution,
-                         prefix_compressed_lengths)
+from .complexity import _encoded_evolution, prefix_compressed_lengths
 from .initcond import initial_condition
 
 
@@ -60,19 +58,6 @@ class TransitionRecord:
     def C(self):
         return self.fit[1]
 
-    def to_dict(self):
-        return {
-            "rule": self.rule.rule_number,
-            "kind": self.rule.kind,
-            "colors": self.rule.colors,
-            "n": self.n,
-            "t_block": self.t_block,
-            "blocks": self.blocks,
-            "S_c": list(self.S_c),
-            "intercept": self.fit[0],
-            "coefficient": self.C,
-        }
-
 
 @dataclass(frozen=True)
 class InterestingIcs:
@@ -87,16 +72,6 @@ class InterestingIcs:
     coefficient: float
     threshold: float
     warning: bool
-
-    def to_dict(self):
-        return {
-            "rule": self.rule.rule_number,
-            "ics": list(self.ics),
-            "profile": list(self.profile),
-            "coefficient": self.coefficient,
-            "threshold": self.threshold,
-            "warning": self.warning,
-        }
 
 
 def _window_width(ic_numbers, steps):
@@ -284,30 +259,6 @@ class CoefficientReport:
     records: tuple
     clusters: tuple
 
-    def to_csv(self):
-        lines = ["rule,kind,colors,coefficient,cluster"]
-        for rec, cl in zip(self.records, self.clusters):
-            lines.append(
-                f"{rec.rule.rule_number},{rec.rule.kind},{rec.rule.colors},"
-                f"{format(rec.C, '.12g')},{cl}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json(self):
-        doc = {
-            "parameters": {
-                "n": self.records[0].n,
-                "t_block": self.records[0].t_block,
-                "blocks": self.records[0].blocks,
-                "compressor": COMPRESSOR["id"],
-            },
-            "entries": [
-                dict(rec.to_dict(), cluster=cl)
-                for rec, cl in zip(self.records, self.clusters)
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n"
-
 
 def coefficient_classification(rules, n=20, t_block=75, blocks=4,
                                threads=None):
@@ -319,6 +270,5 @@ def coefficient_classification(rules, n=20, t_block=75, blocks=4,
     records = _parallel_map(
         lambda r: transition_record(r, n, t_block, blocks), rules, threads)
     records.sort(key=lambda rec: (-rec.C, rec.rule.rule_number))
-    k = min(2, len(set(rec.C for rec in records)))
-    ids = cluster_1d([rec.C for rec in records], k)
+    ids = cluster_1d(rec.C for rec in records)
     return CoefficientReport(tuple(records), tuple(ids))

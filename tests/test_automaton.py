@@ -55,6 +55,32 @@ class TestRuleSpec:
         with pytest.raises(ValueError):
             RuleSpec.tm(2, 3, 12 ** 6)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([(CA, 2, 1), (CA, 3, 1), (CA, 4, 1), (TM, 2, 1),
+                            (TM, 2, 2), (TM, 3, 2), (TM, 4, 3)]),
+           st.integers(min_value=-3, max_value=3), st.booleans())
+    def test_space_check_matches_the_size(self, shape, offset, near_size):
+        """Around the size and around the power of two below it, where
+        the check switches from the bit count to the size itself."""
+        kind, colors, states = shape
+        spec = RuleSpec(kind, colors, 0, states)
+        size = spec.space_size
+        n = size + offset if near_size else (
+            1 << (size.bit_length() - 1)) + offset
+        assert spec._space_exceeds(n) == (n < size)
+        if 0 <= n < size:
+            assert RuleSpec(kind, colors, n, states).rule_number == n
+        else:
+            with pytest.raises(ValueError, match="outside the"):
+                RuleSpec(kind, colors, n, states)
+
+    def test_huge_spaces_are_checked_without_their_size(self):
+        """300**27000000 has 67 million digits; none of these builds it."""
+        assert RuleSpec.ca(300, 5).rule_number == 5
+        with pytest.raises(ValueError, match=r"outside the 300\*\*27000000-"):
+            RuleSpec.ca(300, -1)
+        assert RuleSpec.tm(10 ** 6, 2, 0)._space_exceeds(10 ** 5)
+
 
 class TestCaStep:
     def test_rule_0_blanks_any_row(self):

@@ -1,4 +1,3 @@
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -11,53 +10,29 @@ from hypothesis import strategies as st
 import ccl.classify
 from ccl import (CA, COMPRESSOR, TM, RuleSpec, ca_complexity, classify_eca,
                  cluster_1d, encode_diagram, evolve_ca, rank_rules,
-                 sample_rule_space, with_clusters)
+                 sample_rule_space)
 from ccl.classify import _parallel_map
+from ccl.cli import main
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
 
-def min_diameter_partition(values, k):
-    """Brute-force oracle: the contiguous k-partition of the sorted values
-    minimizing the largest within-cluster spread."""
-    svals = sorted(values)
-    best = None
-    for cuts in itertools.combinations(range(1, len(svals)), k - 1):
-        bounds = [0, *cuts, len(svals)]
-        parts = [svals[a:b] for a, b in zip(bounds, bounds[1:])]
-        diameter = max(p[-1] - p[0] for p in parts)
-        if best is None or diameter < best[0]:
-            best = (diameter, parts)
-    return best[1]
-
-
 class TestCluster1d:
     def test_one_dominant_gap(self):
-        assert cluster_1d([1, 2, 3, 100, 101], 2) == [0, 0, 0, 1, 1]
+        assert cluster_1d([1, 2, 3, 100, 101]) == [0, 0, 0, 1, 1]
 
     def test_single_cluster(self):
-        assert cluster_1d([5, 1, 9], 1) == [0, 0, 0]
-
-    def test_three_way_split_matches_brute_force(self):
-        values = [1, 2, 10, 11, 100]
-        assert cluster_1d(values, 3) == [0, 0, 1, 1, 2]
-        parts = min_diameter_partition(values, 3)
-        assert parts == [[1, 2], [10, 11], [100]]
+        assert cluster_1d([3, 3, 3]) == [0, 0, 0]
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        st.lists(st.integers(min_value=0, max_value=50), min_size=2,
-                 max_size=10),
-        st.integers(min_value=2, max_value=4),
-    )
-    def test_cuts_maximize_gaps(self, values, k):
-        distinct = sorted(set(values))
-        if k > len(distinct):
-            return
-        ids = cluster_1d(values, k)
-        # ids must be dense, ordered by value, and split only at gaps that
-        # are at least as large as every gap kept inside a cluster.
-        assert sorted(set(ids)) == list(range(k))
+    @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1,
+                    max_size=10))
+    def test_cuts_maximize_gaps(self, values):
+        ids = cluster_1d(values)
+        # ids must be 0 and 1 (only 0 when all values are equal), ordered
+        # by value, and split only at a gap at least as large as every gap
+        # kept inside a cluster.
+        assert sorted(set(ids)) == list(range(min(2, len(set(values)))))
         pairs = sorted(zip(values, ids))
         cut_gaps = []
         kept_gaps = []
@@ -68,31 +43,27 @@ class TestCluster1d:
             assert min(cut_gaps) >= max(kept_gaps)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.permutations(range(8)), st.integers(min_value=1, max_value=4))
-    def test_permutation_equivariant(self, perm, k):
+    @given(st.permutations(range(8)))
+    def test_permutation_equivariant(self, perm):
         base = [0, 1, 2, 10, 11, 40, 41, 42]
         shuffled = [base[i] for i in perm]
-        base_ids = cluster_1d(base, k)
-        shuffled_ids = cluster_1d(shuffled, k)
+        base_ids = cluster_1d(base)
+        shuffled_ids = cluster_1d(shuffled)
         assert shuffled_ids == [base_ids[i] for i in perm]
 
     def test_bimodal_modes_separate_exactly(self):
         low = [100 + d for d in (-9, -4, 0, 3, 9)]
         high = [200 + d for d in (-8, 0, 8)]
-        ids = cluster_1d(low + high, 2)
+        ids = cluster_1d(low + high)
         assert ids == [0] * 5 + [1] * 3
 
     def test_gap_ties_cut_leftmost(self):
-        # gaps of 10 on both sides; k=2 must cut the left one.
-        assert cluster_1d([0, 10, 20], 2) == [0, 1, 1]
+        # gaps of 10 on both sides; the cut must take the left one.
+        assert cluster_1d([0, 10, 20]) == [0, 1, 1]
 
-    def test_bad_cluster_counts(self):
+    def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
-            cluster_1d([1, 2], 0)
-        with pytest.raises(ValueError):
-            cluster_1d([3, 3, 3], 2)
-        with pytest.raises(ValueError):
-            cluster_1d([], 1)
+            cluster_1d([])
 
 
 class TestRankRules:
@@ -136,8 +107,6 @@ class TestClassifyEca:
         cs = [e.c_compressed for e in a.entries]
         assert cs == sorted(cs)
         assert sorted(set(e.cluster for e in a.entries)) == [0, 1]
-        assert a.to_csv() == b.to_csv()
-        assert a.to_json() == b.to_json()
 
     def test_recursive_split_refines_the_high_cluster(self):
         flat = classify_eca(50)
@@ -149,23 +118,29 @@ class TestClassifyEca:
             deep.cluster_members(2)
         ) == set(flat.cluster_members(1))
 
-    def test_csv_layout(self):
-        report = rank_rules([RuleSpec.eca(30), RuleSpec.eca(0)], (1,), 20)
-        lines = report.to_csv().splitlines()
+    def test_csv_layout(self, tmp_path):
+        """Each CSV row holds the fields of the JSON entry of its rank."""
+        assert main(["classify", "--rules", "30,0", "--steps", "20",
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "classification.csv").read_text().splitlines()
         assert lines[0] == "rule,kind,colors,c_raw,c_compressed,cluster"
         assert len(lines) == 3
         assert lines[1].startswith("0,CA,2,")
+        doc = json.loads((tmp_path / "classification.json").read_text())
+        assert [line.split(",") for line in lines[1:]] == [
+            [str(e[c]) for c in lines[0].split(",")] for e in doc["entries"]]
 
-    def test_json_matches_schema(self):
-        report = with_clusters(
-            rank_rules([RuleSpec.eca(n) for n in (0, 30, 90)], (1,), 30)
-        )
-        doc = json.loads(report.to_json())
+    def test_json_matches_schema(self, tmp_path):
+        """Three clusters after the second split still fit the schema."""
+        assert main(["classify", "--rules", "0,30,90,110", "--steps", "20",
+                     "--split-levels", "2", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "classification.json").read_text())
         schema = json.loads(
             (SCHEMAS / "classification.schema.json").read_text()
         )
         jsonschema.validate(doc, schema)
         assert doc["parameters"]["compressor"] == COMPRESSOR["id"]
+        assert sorted({e["cluster"] for e in doc["entries"]}) == [0, 1, 2]
 
 
 class TestSampleRuleSpace:

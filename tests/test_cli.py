@@ -135,29 +135,42 @@ def test_unknown_config_key_rejected(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("command, config", [
-    ("classify", {"steps": None}),
-    ("classify", {"steps": True}),
-    ("classify", {"steps": 1.7}),
-    ("classify", {"colors": 11, "sample_size": 5}),
-    ("transition", {"threshold": None}),
-    ("classify", {"rules": [None]}),
-    ("classify", {"ic": [None], "rules": [30]}),
-    ("classify", {"rules": [30.9]}),
-    ("classify", {"rules": [True]}),
-    ("profile", {**SMALL["profile"], "normalize": "no"}),
-    ("tm-search", {**SMALL["tm-search"], "exhaustive": "false"}),
-    ("transition", {**SMALL["transition"], "top": -1}),
-    ("tm-search", {**SMALL["tm-search"], "top": -1}),
-    ("profile", {**SMALL["profile"], "q": float("nan")}),
-    ("profile", {**SMALL["profile"], "q": float("inf")}),
-    ("transition", {**SMALL["transition"], "threshold": float("inf")}),
-    ("transition", {**SMALL["transition"], "threshold": float("-inf")}),
-    ("profile", {**SMALL["profile"], "q": -1.0}),
-    ("classify", {"rules": [30, 30]}),
-    ("classify", {"colors": 11, "rules": [5], "steps": 5}),
-    ("profile", {**SMALL["profile"], "rule": 10, "colors": 11}),
-    ("transition", {**SMALL["transition"], "rules": [5], "colors": 11}),
+@pytest.mark.parametrize("command, config, message", [
+    ("classify", {"steps": None}, "steps must be an integer, not null"),
+    ("classify", {"steps": True}, "steps must be an integer, not true"),
+    ("classify", {"steps": 1.7}, "steps must be an integer, not 1.7"),
+    ("classify", {"colors": 11, "sample_size": 5},
+     "cannot sample a space of more than"),
+    ("transition", {"threshold": None},
+     "threshold must be a number, not null"),
+    ("classify", {"rules": [None]}, "rules must be a list of integers"),
+    ("classify", {"ic": [None], "rules": [30]},
+     "ic must be a list of integers, not [null]"),
+    ("classify", {"rules": [30.9]}, "not [30.9]"),
+    ("classify", {"rules": [True]}, "not [true]"),
+    ("profile", {**SMALL["profile"], "normalize": "no"},
+     'normalize must be true or false, not "no"'),
+    ("tm-search", {**SMALL["tm-search"], "exhaustive": "false"},
+     "exhaustive must be true or false"),
+    ("transition", {**SMALL["transition"], "top": -1}, "top must be >= 0"),
+    ("tm-search", {**SMALL["tm-search"], "top": -1}, "top must be >= 0"),
+    ("profile", {**SMALL["profile"], "q": float("nan")},
+     "q must be finite, not NaN"),
+    ("profile", {**SMALL["profile"], "q": float("inf")},
+     "q must be finite, not Infinity"),
+    ("transition", {**SMALL["transition"], "threshold": float("inf")},
+     "threshold must be finite, not Infinity"),
+    ("transition", {**SMALL["transition"], "threshold": float("-inf")},
+     "threshold must be finite, not -Infinity"),
+    ("profile", {**SMALL["profile"], "q": -1.0}, "q must be >= 0"),
+    ("classify", {"rules": [30, 30]}, "repeats a rule number"),
+    ("classify", {"colors": 11, "rules": [5], "steps": 5},
+     "at most 10 colors, not 11"),
+    ("profile", {**SMALL["profile"], "rule": 10, "colors": 11},
+     "at most 10 colors, not 11"),
+    ("transition", {**SMALL["transition"], "rules": [5], "colors": 11},
+     "at most 10 colors, not 11"),
+    ("classify", {"colors": 300, "rules": [5]}, "at most 10 colors, not 300"),
 ], ids=["steps-null", "steps-true", "steps-float", "colors-11-sampled",
         "threshold-null", "rules-item-null", "ic-item-null",
         "rules-item-float", "rules-item-true", "normalize-string",
@@ -165,10 +178,12 @@ def test_unknown_config_key_rejected(tmp_path):
         "tm-search-top-negative", "q-nan", "q-infinity",
         "threshold-infinity", "threshold-minus-infinity", "q-negative",
         "rules-repeated", "classify-colors-11", "profile-colors-11",
-        "transition-colors-11"])
+        "transition-colors-11", "classify-colors-300"])
 def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys,
-                                                evolutions, command, config):
-    """The run is rejected before a single evolution is computed."""
+                                                evolutions, command, config,
+                                                message):
+    """The run is rejected for the one bad value, before a single evolution
+    is computed."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -176,6 +191,7 @@ def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys,
                  "--create"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ccl: ") and err.count("\n") == 1
+    assert message in err
     assert not out.exists()
     assert evolutions == []
 
@@ -217,29 +233,39 @@ def test_every_key_rejects_a_wrong_json_type(tmp_path, capsys, command, key,
     assert err.startswith("ccl: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["tm-search", "--sample-size", "5", "--top", "-1"],
-    ["transition", "--rules", "22,30,90", "--top", "-1"],
-    ["transition", "--rules", "22", "--blocks", "1"],
-    ["transition", "--rules", "22", "--n", "1"],
-    [*SMALL_TRANSITION, "--count", "0"],
-    [*SMALL_TRANSITION, "--profile-steps", "21"],
-    [*SMALL_TRANSITION, "--profile-steps", "0"],
-    [*SMALL_TRANSITION, "--top", "0", "--count", "0"],
-    ["profile", "--rule", "22", "--q", "nan"],
-    ["profile", "--rule", "22", "--q", "-1"],
-    ["transition", "--rules", "22,22", "--top", "2"],
-    ["classify", "--colors", "11", "--rules", "5,10", "--steps", "5"],
+@pytest.mark.parametrize("argv, message", [
+    (["tm-search", "--sample-size", "5", "--top", "-1"], "top must be >= 0"),
+    (["transition", "--rules", "22,30,90", "--top", "-1"], "top must be >= 0"),
+    (["transition", "--rules", "22", "--blocks", "1"], "at least two blocks"),
+    (["transition", "--rules", "22", "--n", "1"],
+     "at least two initial conditions"),
+    ([*SMALL_TRANSITION, "--count", "0"], "count must be >= 1"),
+    ([*SMALL_TRANSITION, "--profile-steps", "21"],
+     "positive multiple of blocks"),
+    ([*SMALL_TRANSITION, "--profile-steps", "0"],
+     "positive multiple of blocks"),
+    ([*SMALL_TRANSITION, "--top", "0", "--count", "0"], "count must be >= 1"),
+    (["profile", "--rule", "22", "--q", "nan"], "q must be finite, not NaN"),
+    (["profile", "--rule", "22", "--q", "-1"], "q must be >= 0"),
+    (["transition", "--rules", "22,22", "--top", "2"],
+     "repeats a rule number"),
+    (["classify", "--colors", "11", "--rules", "5,10", "--steps", "5"],
+     "at most 10 colors, not 11"),
+    (["tm-search", "--states", "2000", "--colors", "2", "--exhaustive"],
+     "over 8000**4000 machines exceeds the budget of 100000"),
 ], ids=["tm-search-top", "transition-top", "transition-blocks",
         "transition-n", "transition-count-0", "transition-profile-steps-21",
         "transition-profile-steps-0", "transition-top-0-count-0", "q-nan",
-        "q-negative", "transition-rules-repeated", "classify-colors-11"])
+        "q-negative", "transition-rules-repeated", "classify-colors-11",
+        "tm-search-2000-states-exhaustive"])
 def test_bad_flag_values_exit_2_before_writing(tmp_path, capsys, evolutions,
-                                               argv):
-    """The run is rejected before a single evolution is computed."""
+                                               argv, message):
+    """The run is rejected for the one bad value, before a single evolution
+    is computed."""
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ccl: ") and err.count("\n") == 1
+    assert message in err
     assert list(tmp_path.iterdir()) == []
     assert evolutions == []
 
@@ -477,7 +503,10 @@ def test_full_eca_classify_uses_the_configured_ic(tmp_path):
     assert manifest["parameters"]["ic"] == [1, 0, 1, 1]
     want = with_clusters(rank_rules(
         [RuleSpec.eca(n) for n in range(256)], (1, 0, 1, 1), 20))
-    assert doc["entries"] == json.loads(want.to_json())["entries"]
+    assert doc["entries"] == [
+        {"rule": e.rule.rule_number, "kind": "CA", "colors": 2,
+         "c_raw": e.c_raw, "c_compressed": e.c_compressed,
+         "cluster": e.cluster} for e in want.entries]
 
 
 # With 30, 90, 110 the high cluster holds rule 30 alone, so only adding
@@ -498,7 +527,7 @@ def test_rule_list_classify_splits_two_levels(tmp_path, rules, cluster_ids):
                                     20))
     high = [e for e in flat.entries if e.cluster == 1]
     values = [e.c_compressed for e in high]
-    ids = cluster_1d(values, min(2, len(set(values)))) if values else []
+    ids = cluster_1d(values) if values else []
     want = {e.rule.rule_number: 0 for e in flat.entries if e.cluster == 0}
     want.update({e.rule.rule_number: 1 + i for e, i in zip(high, ids)})
     assert got == want

@@ -13,6 +13,7 @@ from ccl import (RuleSpec, characteristic_exponent, coefficient_classification,
                  ic_profile, initial_condition, interesting_initial_conditions,
                  least_squares_fit, transition, transition_coefficient,
                  transition_record, transition_sequence)
+from ccl.cli import main
 from ccl.transition import _exponents, _window_width
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -182,11 +183,18 @@ class TestTransitionSequence:
         assert seq == [0.0, 0.0, 0.0, 0.0]
         assert least_squares_fit(seq) == (0.0, 0.0)
 
-    def test_record_carries_its_fit(self):
+    def test_record_carries_its_fit(self, tmp_path):
         rec = transition_record(RuleSpec.eca(22), 4, 20, 3)
         assert rec.C == rec.fit[1]
         assert len(rec.S_c) == 3
-        assert rec.to_dict()["coefficient"] == rec.C
+        assert main(["transition", "--rules", "22", "--n", "4", "--t-block",
+                     "20", "--blocks", "3", "--top", "0",
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "coefficients.json").read_text())
+        entry = doc["entries"][0]
+        assert entry["coefficient"] == rec.C
+        assert entry["intercept"] == rec.fit[0]
+        assert entry["S_c"] == list(rec.S_c)
 
 
 class TestIcProfile:
@@ -276,17 +284,24 @@ class TestCoefficientClassification:
         assert cs == sorted(cs, reverse=True)
         assert report.clusters[0] >= report.clusters[-1]
 
-    def test_csv_and_json_layout(self):
-        rules = [RuleSpec.eca(n) for n in (22, 0)]
-        report = coefficient_classification(rules, n=4, t_block=20, blocks=3)
-        lines = report.to_csv().splitlines()
+    def test_csv_and_json_layout(self, tmp_path):
+        """Each CSV row holds the fields of the JSON entry of its rank, the
+        coefficient written with .12g."""
+        assert main(["transition", "--rules", "22,0", "--n", "4",
+                     "--t-block", "20", "--blocks", "3", "--top", "0",
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "coefficients.csv").read_text().splitlines()
         assert lines[0] == "rule,kind,colors,coefficient,cluster"
         assert len(lines) == 3
-        doc = json.loads(report.to_json())
+        doc = json.loads((tmp_path / "coefficients.json").read_text())
         schema = json.loads(
             (SCHEMAS / "coefficients.schema.json").read_text()
         )
         jsonschema.validate(doc, schema)
+        assert [line.split(",") for line in lines[1:]] == [
+            [str(e["rule"]), e["kind"], str(e["colors"]),
+             format(e["coefficient"], ".12g"), str(e["cluster"])]
+            for e in doc["entries"]]
 
     def test_threaded_identical(self):
         rules = [RuleSpec.eca(n) for n in (22, 30, 0, 110)]
