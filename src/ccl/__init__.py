@@ -18,8 +18,7 @@ from .complexity import (COMPRESSOR, ComplexityEstimate, ca_complexity,
                          compressed_length, deflate, encode_diagram,
                          encode_sequence, prefix_compressed_lengths,
                          tm_complexity)
-from .initcond import (InitialCondition, gray_derivate, gray_integrate,
-                       initial_condition, initial_condition_number)
+from .initcond import initial_condition, initial_condition_number
 from .transition import (CoefficientReport, IcProfile, InterestingIcs,
                          TransitionRecord, characteristic_exponent,
                          coefficient_classification, detect_spikes,
@@ -30,7 +29,6 @@ from .transition import (CoefficientReport, IcProfile, InterestingIcs,
 __all__ = [
     "CA", "TM", "RuleSpec", "SpaceTimeDiagram", "evolve_ca",
     "reached_states_sequence", "state_sequence",
-    "InitialCondition", "gray_derivate", "gray_integrate",
     "initial_condition", "initial_condition_number",
     "COMPRESSOR", "ComplexityEstimate",
     "deflate", "compressed_length", "prefix_compressed_lengths",

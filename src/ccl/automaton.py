@@ -107,12 +107,11 @@ class SpaceTimeDiagram:
 def _rule_table(rule):
     """Base-k digits of the rule number, entry n giving the image of the
     neighborhood whose base-k index is n."""
-    k = rule.colors
-    table = np.empty(k ** 3, dtype=np.uint8)
-    n = rule.rule_number
-    for i in range(k ** 3):
-        table[i] = n % k
-        n //= k
+    table = np.zeros(rule.colors ** 3, dtype=np.uint8)
+    n, i = rule.rule_number, 0
+    while n:  # only the digits the number has; the rest stay 0
+        n, table[i] = divmod(n, rule.colors)
+        i += 1
     return table
 
 

@@ -5,14 +5,12 @@ roughly from trivial to chaotic; a one-dimensional largest-gap split of
 those lengths recovers the simple/complex behavioral divide.
 """
 
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .automaton import CA, TM, RuleSpec
-from .complexity import ca_complexity
+from .complexity import _grid, _raw_length
 
 
 @dataclass(frozen=True)
@@ -37,36 +35,20 @@ class ClassificationReport:
         return [e.rule.rule_number for e in self.entries if e.cluster == cluster]
 
 
-def _parallel_map(fn, items, threads):
-    """``[fn(x) for x in items]`` on up to ``threads`` worker threads, never
-    more than there are CPUs or items; results keep the input order."""
-    items = list(items)
-    workers = min(threads or 1, os.cpu_count() or 1, len(items))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def rank_rules(rules, init, steps, threads=None):
-    """One entry per rule with its compressed length, ascending.
-
-    Worker threads (if any) evaluate rules independently; results are
-    gathered by index, so the report never depends on completion order.
-    """
+    """One entry per rule with its compressed length, ascending: the grid
+    of one initial condition and one block of ``steps``, whose cells come
+    back in input order, so worker threads never change the report."""
     rules = list(rules)
     if not rules:
         raise ValueError("rule set must be non-empty")
     init = tuple(int(c) for c in init)
-    estimates = _parallel_map(lambda r: ca_complexity(r, init, steps),
-                              rules, threads)
-    pairs = sorted(
-        zip(rules, estimates),
-        key=lambda p: (p[1].compressed_length, p[0].rule_number),
-    )
+    lengths = [table[0][0] for table in _grid(rules, [init], steps, 1, threads)]
+    c_raw = _raw_length(init, steps)
     entries = tuple(
-        ClassificationEntry(r, est.raw_length, est.compressed_length, 0)
-        for r, est in pairs
+        ClassificationEntry(r, c_raw, c, 0)
+        for c, r in sorted(zip(lengths, rules),
+                           key=lambda p: (p[0], p[1].rule_number))
     )
     return ClassificationReport(entries, steps, init)
 

@@ -118,6 +118,15 @@ def _check(key, value, param):
         raise ConfigError(f"{key} must be >= {param.minimum}")
 
 
+def _int(text):
+    """A JSON integer, refused past Python's integer-string limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError("config file holds an integer with more digits "
+                          "than can be read") from None
+
+
 def _load_config(command, path, flags):
     """Defaults of ``command``, then the config file, then the flags that
     were given; every value given is checked against its key's entry."""
@@ -126,7 +135,7 @@ def _load_config(command, path, flags):
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
+                loaded = json.load(fh, parse_int=_int)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:

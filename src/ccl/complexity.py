@@ -6,7 +6,9 @@ Everything here is pinned for byte-exact reproducibility: one canonical
 byte encoding, one raw-DEFLATE parameter set, lengths in bytes.
 """
 
+import os
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,19 +56,22 @@ def prefix_compressed_lengths(data, ends):
 
     ``data`` is fed once, in order, to a single compressor; at each end the
     bytes emitted so far plus the flush of a copy of the compressor state
-    give the prefix's length.  DEFLATE output does not depend on how its
-    input is split, so every length equals one-shot compression of the
-    prefix byte for byte.  ``ends`` must be ascending.
+    give the prefix's length; the last end flushes the stream itself.
+    DEFLATE output does not depend on how its input is split, so every
+    length equals one-shot compression of the prefix byte for byte.
+    ``ends`` must be ascending.
     """
     co = _compressobj()
     view = memoryview(data)
     emitted = prev = 0
     out = []
-    for end in ends:
+    ends = list(ends)
+    for i, end in enumerate(ends, 1):
         if end < prev:
             raise ValueError("prefix ends must be non-negative and ascending")
         emitted += len(co.compress(view[prev:end]))
-        out.append(emitted + len(co.copy().flush()))
+        last = i == len(ends)
+        out.append(emitted + len((co if last else co.copy()).flush()))
         prev = end
     return out
 
@@ -95,25 +100,56 @@ def encode_sequence(values):
     return raw.translate(_ASCII) + b"\n"
 
 
-def _estimate(data):
-    raw = len(data)
-    comp = compressed_length(data)
-    return ComplexityEstimate(raw, comp, Fraction(comp, raw) if raw else Fraction(0))
+def _parallel_map(fn, items, threads):
+    """``[fn(x) for x in items]`` on up to ``threads`` worker threads, never
+    more than there are CPUs or items; results keep the input order."""
+    workers = min(threads or 1, os.cpu_count() or 1, len(items))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
-def _encoded_evolution(rule, init, steps, width=None):
-    """Canonical encoding of a CA evolution; a rule with more colors than
-    the encoding has digits is refused before it is evolved."""
-    if rule.colors > 10:
-        raise ValueError("canonical encoding supports at most 10 colors, "
-                         f"not {rule.colors}")
-    return encode_diagram(evolve_ca(rule, init, steps, width=width))
+def _grid(rules, ics, t_block, blocks, threads=None):
+    """The one measurement: for each rule, its table of compressed lengths,
+    one row per initial condition in ``ics`` and one column per runtime
+    b*t_block, b = 1..blocks.
+
+    All cells share one window, sized for the longest condition and the
+    full runtime; each evolution is compressed once and read off at its
+    block row boundaries.  Cells map rule-major over worker threads.  A rule
+    with more than 10 colors is refused before anything is evolved.
+    """
+    for rule in rules:
+        if rule.colors > 10:
+            raise ValueError("canonical encoding supports at most 10 colors, "
+                             f"not {rule.colors}")
+    steps = t_block * blocks
+    width = max(map(len, ics)) + 2 * (steps + 1)
+    ends = [(width + 1) * (b * t_block + 1) for b in range(1, blocks + 1)]
+
+    def cell(job):
+        rule, ic = job
+        return prefix_compressed_lengths(
+            encode_diagram(evolve_ca(rule, ic, steps, width=width)), ends)
+
+    flat = _parallel_map(cell, [(r, ic) for r in rules for ic in ics], threads)
+    return [flat[i:i + len(ics)] for i in range(0, len(flat), len(ics))]
+
+
+def _raw_length(init, steps):
+    """Bytes in the encoding of the one-cell grid of ``init`` run for
+    ``steps``: (width + 1) * (steps + 1), width = len(init) + 2*(steps + 1)."""
+    return (len(init) + 2 * (steps + 1) + 1) * (steps + 1)
 
 
 def ca_complexity(rule, init, steps):
-    """Evolve, encode, compress.  ``raw_length`` is exactly
-    (width + 1) * (steps + 1) bytes."""
-    return _estimate(_encoded_evolution(rule, init, steps))
+    """Evolve, encode, compress: the one-cell grid.  ``raw_length`` is the
+    encoding's length, (width + 1) * (steps + 1) bytes."""
+    init = tuple(init)
+    [[[comp]]] = _grid([rule], [init], steps, 1)
+    raw = _raw_length(init, steps)
+    return ComplexityEstimate(raw, comp, Fraction(comp, raw))
 
 
 def tm_complexity(rule, steps, sequence="reached"):
@@ -130,4 +166,6 @@ def tm_complexity(rule, steps, sequence="reached"):
         raise ValueError("sequence must be 'reached' or 'states'")
     if rule.states > most:
         raise ValueError(f"the {sequence} measure takes at most {most} states")
-    return _estimate(encode_sequence(run(rule, steps)))
+    data = encode_sequence(run(rule, steps))
+    comp = compressed_length(data)
+    return ComplexityEstimate(len(data), comp, Fraction(comp, len(data)))

@@ -7,27 +7,24 @@ sweep, its growth across longer runtimes is fitted by a line, and the slope
 of that line -- the transition coefficient -- ranks rules by how sensitive
 they are to their initial condition.
 
-All initial conditions of one sweep share a common window (sized for the
-longest condition and the full runtime), and every runtime block is
-measured as a row prefix of the same evolution.  Both choices remove
+Every sweep -- a profile, an exponent, a transition sequence, a scan, a
+coefficient classification -- is one measurement grid
+(``complexity._grid``): rules by initial conditions by runtime blocks, all
+in a common window sized for the longest condition and the full runtime,
+each runtime block a row prefix of the same evolution.  Both choices remove
 compressor artifacts that have nothing to do with the dynamics: varying
 window widths or restarts at different widths can shift match lengths
 inside the compressor and fake jumps between otherwise identical regimes.
-Each evolution is compressed once, as one incremental DEFLATE stream, and
-the length of every block prefix is read off at its row boundary; the
-lengths equal one-shot compression of each prefix byte for byte.
-
-Every sweep -- a profile, an exponent, a transition sequence, a scan --
-fills one table of lengths (initial conditions by runtime blocks); exponents
-and spikes come from one aggregation and one neighbour-rise rule over it.
+Exponents and spikes come from one aggregation and one neighbour-rise rule
+over a rule's table of lengths (initial conditions by runtime blocks).
 """
 
 import math
 import statistics
 from dataclasses import dataclass
 
-from .classify import _parallel_map, cluster_1d
-from .complexity import _encoded_evolution, prefix_compressed_lengths
+from .classify import cluster_1d
+from .complexity import _grid
 from .initcond import initial_condition
 
 
@@ -74,31 +71,10 @@ class InterestingIcs:
     warning: bool
 
 
-def _window_width(ic_numbers, steps):
-    longest = max(len(initial_condition(j)) for j in ic_numbers)
-    return longest + 2 * (steps + 1)
-
-
-def _prefix_lengths(rule, ic_number, t_block, blocks, width):
-    """Compressed length of the first 1 + b*t_block rows of one evolution,
-    for b = 1..blocks.  Row-major encoding makes each block a byte prefix
-    of the full encoding, so the encoding goes once through one incremental
-    DEFLATE stream and each length is read off at its row boundary."""
-    enc = _encoded_evolution(rule, initial_condition(ic_number),
-                             t_block * blocks, width)
-    stride = width + 1
-    return prefix_compressed_lengths(
-        enc, [stride * (b * t_block + 1) for b in range(1, blocks + 1)])
-
-
-def _sweep(rule, numbers, t_block, blocks, threads=None):
-    """Lengths table of one sweep: for each initial-condition number, the
-    ``_prefix_lengths`` of its evolution, all in one window sized for the
-    longest condition and the full runtime."""
-    width = _window_width(numbers, t_block * blocks)
-    return _parallel_map(
-        lambda j: _prefix_lengths(rule, j, t_block, blocks, width), numbers,
-        threads)
+def _sweep(rules, numbers, t_block, blocks, threads=None):
+    """The grid of ``rules`` over initial conditions ``numbers``."""
+    return _grid(rules, [initial_condition(j) for j in numbers], t_block,
+                 blocks, threads)
 
 
 def _rises(values):
@@ -140,7 +116,7 @@ def ic_profile(rule, m, steps, normalize=False, threads=None):
         raise ValueError("need at least one initial condition")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    table = _sweep(rule, range(m), steps, 1, threads)
+    [table] = _sweep([rule], range(m), steps, 1, threads)
     lengths = [row[0] for row in table]
     if normalize:
         lengths = [c / steps for c in lengths]
@@ -167,31 +143,41 @@ def detect_spikes(profile, q=3.0):
     return [j for j, rise in enumerate(_rises(vals)) if rise > q * mad]
 
 
-def _exponent_sequence(rule, n, t_block, blocks, threads=None):
-    """Characteristic exponents over initial conditions 1..n at runtimes
-    t_block, 2*t_block, ..., blocks*t_block, from one sweep."""
+def _exponent_sequences(rules, n, t_block, blocks, threads=None):
+    """Characteristic exponents of each rule over initial conditions 1..n
+    at runtimes t_block, 2*t_block, ..., blocks*t_block, from one grid."""
     if n < 2:
         raise ValueError("need at least two initial conditions")
     if t_block < 1:
         raise ValueError("t_block must be >= 1")
-    table = _sweep(rule, range(1, n + 1), t_block, blocks, threads)
-    return _exponents(table, [b * t_block for b in range(1, blocks + 1)])
+    runtimes = [b * t_block for b in range(1, blocks + 1)]
+    return [_exponents(table, runtimes)
+            for table in _sweep(rules, range(1, n + 1), t_block, blocks,
+                                threads)]
 
 
 def characteristic_exponent(rule, n, steps):
     """Mean absolute successive difference of compressed lengths over
     initial conditions 1..n, divided by the runtime ``steps``.  Values
     above 1 signal a phase transition."""
-    return _exponent_sequence(rule, n, steps, 1)[0]
+    return _exponent_sequences([rule], n, steps, 1)[0][0]
+
+
+def _records(rules, n, t_block, blocks, threads=None):
+    """The :class:`TransitionRecord` of each rule, from one grid."""
+    if blocks < 2:
+        raise ValueError("need at least two blocks to see a trend")
+    seqs = _exponent_sequences(rules, n, t_block, blocks, threads)
+    return [TransitionRecord(rule, n, t_block, blocks, tuple(seq),
+                             least_squares_fit(seq))
+            for rule, seq in zip(rules, seqs)]
 
 
 def transition_sequence(rule, n, t_block, blocks, threads=None):
     """Characteristic exponents of ``rule`` at runtimes t_block, 2*t_block,
     ..., blocks*t_block, all measured inside the full-runtime window, so
     each initial condition is evolved and encoded only once."""
-    if blocks < 2:
-        raise ValueError("need at least two blocks to see a trend")
-    return _exponent_sequence(rule, n, t_block, blocks, threads)
+    return list(_records([rule], n, t_block, blocks, threads)[0].S_c)
 
 
 def least_squares_fit(seq):
@@ -216,9 +202,7 @@ def transition_coefficient(rule, n=20, t_block=75, blocks=4, threads=None):
 
 def transition_record(rule, n=20, t_block=75, blocks=4, threads=None):
     """Full record for one rule: S_c, fitted line, coefficient."""
-    seq = transition_sequence(rule, n, t_block, blocks, threads=threads)
-    return TransitionRecord(rule, n, t_block, blocks, tuple(seq),
-                            least_squares_fit(seq))
+    return _records([rule], n, t_block, blocks, threads)[0]
 
 
 def interesting_initial_conditions(rule, count=10, t=600, blocks=12, m=30,
@@ -234,7 +218,7 @@ def interesting_initial_conditions(rule, count=10, t=600, blocks=12, m=30,
     exceed ``threshold`` get a best-effort list and ``warning=True``.
     """
     t_block = _scan_block(count, t, blocks, m)
-    per_ic = _sweep(rule, range(m), t_block, blocks, threads)
+    [per_ic] = _sweep([rule], range(m), t_block, blocks, threads)
     agg = [
         sum(per_ic[j][b] / ((b + 1) * t_block) for b in range(blocks)) / blocks
         for j in range(m)
@@ -267,8 +251,7 @@ def coefficient_classification(rules, n=20, t_block=75, blocks=4,
     rules = list(rules)
     if not rules:
         raise ValueError("rule set must be non-empty")
-    records = _parallel_map(
-        lambda r: transition_record(r, n, t_block, blocks), rules, threads)
+    records = _records(rules, n, t_block, blocks, threads)
     records.sort(key=lambda rec: (-rec.C, rec.rule.rule_number))
     ids = cluster_1d(rec.C for rec in records)
     return CoefficientReport(tuple(records), tuple(ids))

@@ -4,6 +4,10 @@ Each oracle decodes its rule number from the documented digit layout on its
 own, one cell or one step at a time, so that the package's fast runners
 (bit-parallel and numpy CA evolution, the Turing-machine state runner) are
 checked against code that shares none of their tables or loops.
+``mirror`` reflects a CA rule left to right, which reverses the columns of
+every evolution from the reversed initial condition.
+``gray_derivate`` and ``gray_integrate`` are the paper's digit-wise
+definitions of the Gray-code numbering of initial conditions, and
 ``damerau_levenshtein`` is the edit distance the Gray-code tests measure
 neighbouring initial conditions with.
 """
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ccl import CA, TM
+from ccl import CA, TM, RuleSpec
 
 
 def ca_step(row, rule, background=0):
@@ -38,6 +42,19 @@ def ca_step(row, rule, background=0):
         rule.rule_number // k ** (l * k * k + c * k + r) % k
         for l, c, r in zip(padded, padded[1:], padded[2:])
     ], dtype=np.uint8)
+
+
+def mirror(rule):
+    """The CA rule whose image of the neighborhood (l, c, r) is ``rule``'s
+    image of (r, c, l), built digit by digit from the rule number."""
+    k = rule.colors
+    number = 0
+    for l in range(k):
+        for c in range(k):
+            for r in range(k):
+                image = rule.rule_number // k ** (r * k * k + c * k + l) % k
+                number += image * k ** (l * k * k + c * k + r)
+    return RuleSpec.ca(k, number)
 
 
 @dataclass(frozen=True)
@@ -103,3 +120,34 @@ def damerau_levenshtein(u, v):
                 cur[j] = min(cur[j], prev2[j - 2] + 1)
         prev2, prev = prev, cur
     return prev[n]
+
+
+def gray_derivate(n):
+    """Gray code word for ``n``: keep the leading binary digit, then emit the
+    mod-2 sum of each adjacent digit pair.  Returns a list of bits, most
+    significant first; ``[0]`` for n = 0."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n == 0:
+        return [0]
+    digits = [int(ch) for ch in bin(n)[2:]]
+    out = [digits[0]]
+    for i in range(1, len(digits)):
+        out.append((digits[i - 1] + digits[i]) % 2)
+    return out
+
+
+def gray_integrate(bits):
+    """Inverse of :func:`gray_derivate`: running mod-2 prefix sums of the code
+    word read back as binary digits."""
+    bits = list(bits)
+    if not bits:
+        raise ValueError("bit sequence must be non-empty")
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("sequence may contain only bits")
+    n = 0
+    acc = 0
+    for b in bits:
+        acc = (acc + b) % 2
+        n = 2 * n + acc
+    return n

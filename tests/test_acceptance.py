@@ -17,7 +17,7 @@ from ccl import (TM, RuleSpec, coefficient_classification,
                  reached_states_sequence, sample_rule_space)
 from ccl.cli import main
 from ccl.transition import _exponents
-from oracles import damerau_levenshtein
+from oracles import damerau_levenshtein, gray_derivate
 from rfc1951 import inflate
 
 COMPLEX_RULES = frozenset({30, 45, 73, 75, 86, 89, 101, 110, 124, 135,
@@ -44,10 +44,12 @@ def test_criterion_02_compressed_length_ordering(eca_report_200):
 
 def test_criterion_03_gray_code_suite():
     for n in range(2 ** 16):
-        assert initial_condition_number(initial_condition(n)) == n
+        ic = initial_condition(n)
+        assert initial_condition_number(ic) == n
+        assert ic == ((1,) if n == 0 else tuple(gray_derivate(n)) + (1,))
     for n in range(2 ** 12):
-        a = initial_condition(n).cells
-        b = initial_condition(n + 1).cells
+        a = initial_condition(n)
+        b = initial_condition(n + 1)
         w = max(len(a), len(b))
         assert damerau_levenshtein(
             (0,) * (w - len(a)) + a, (0,) * (w - len(b)) + b

@@ -9,7 +9,7 @@ from ccl import (CA, TM, RuleSpec, evolve_ca, reached_states_sequence,
                  state_sequence)
 from ccl import automaton
 from ccl.automaton import _bits_to_cells, _evolve_bits, _evolve_lookup, _run
-from oracles import BLANK_TM, TmConfiguration, ca_step, tm_step
+from oracles import BLANK_TM, TmConfiguration, ca_step, mirror, tm_step
 
 
 def brute_evolve(rule_number, init, steps):
@@ -136,6 +136,32 @@ class TestCaStep:
             row = ca_step(row, rule, bg)
             bg = int(ca_step([bg] * 3, rule, bg)[1])
             assert np.array_equal(d.cells[j], row), f"row {j}"
+
+
+class TestMirrorSymmetry:
+    # Left-right reflection is exact for every rule and initial condition:
+    # the default window is centred, as width - len(init) is even.  It
+    # shares no code with the stepping oracles or the golden lengths.
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mirror_rule_evolves_the_reflected_diagram(self, data):
+        colors = data.draw(st.integers(2, 4))
+        rule = RuleSpec.ca(colors, data.draw(
+            st.integers(0, colors ** colors ** 3 - 1)))
+        init = data.draw(st.lists(st.integers(0, colors - 1), min_size=1,
+                                  max_size=5))
+        steps = data.draw(st.integers(0, 40))
+        width = len(init) + 2 * (steps + 1)
+        want = evolve_ca(rule, init, steps).cells[:, ::-1]
+        image = mirror(rule)
+        assert np.array_equal(evolve_ca(image, init[::-1], steps).cells, want)
+        assert np.array_equal(
+            _evolve_lookup(image, init[::-1], steps, width), want)
+
+    def test_mirror_is_an_involution_on_the_eca(self):
+        images = [mirror(RuleSpec.eca(n)).rule_number for n in range(256)]
+        assert [images[m] for m in images] == list(range(256))
+        assert images[30] == 86 and images[110] == 124
 
 
 class TestEvolveCa:

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ccl.classify
+import ccl.complexity
 from ccl import (CA, COMPRESSOR, TM, RuleSpec, ca_complexity, classify_eca,
                  cluster_1d, encode_diagram, evolve_ca, rank_rules,
                  sample_rule_space)
-from ccl.classify import _parallel_map
+from ccl.complexity import _parallel_map
 from ccl.cli import main
+from oracles import mirror
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -118,6 +119,14 @@ class TestClassifyEca:
             deep.cluster_members(2)
         ) == set(flat.cluster_members(1))
 
+    def test_no_mirror_pair_is_split_at_t200(self, eca_report_200):
+        # A rule and its left-right mirror draw reflected diagrams from the
+        # single black cell, so they belong in the same class.
+        cluster = {e.rule.rule_number: e.cluster
+                   for e in eca_report_200.entries}
+        for number, c in cluster.items():
+            assert cluster[mirror(RuleSpec.eca(number)).rule_number] == c
+
     def test_csv_layout(self, tmp_path):
         """Each CSV row holds the fields of the JSON entry of its rank."""
         assert main(["classify", "--rules", "30,0", "--steps", "20",
@@ -206,7 +215,7 @@ class TestParallelMap:
     # An unknown CPU count means one worker, which builds no pool at all.
     @pytest.mark.parametrize("cpus, pools", [(64, [3]), (2, [2]), (None, [])])
     def test_workers_capped_by_cpus_and_items(self, monkeypatch, cpus, pools):
-        monkeypatch.setattr(ccl.classify, "ThreadPoolExecutor",
+        monkeypatch.setattr(ccl.complexity, "ThreadPoolExecutor",
                             RecordingExecutor)
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
         monkeypatch.setattr(RecordingExecutor, "max_workers", [])
@@ -216,7 +225,7 @@ class TestParallelMap:
 
     @pytest.mark.parametrize("threads", [None, 1])
     def test_one_thread_builds_no_pool(self, monkeypatch, threads):
-        monkeypatch.setattr(ccl.classify, "ThreadPoolExecutor",
+        monkeypatch.setattr(ccl.complexity, "ThreadPoolExecutor",
                             RecordingExecutor)
         monkeypatch.setattr(RecordingExecutor, "max_workers", [])
         assert _parallel_map(str, range(4), threads) == ["0", "1", "2", "3"]

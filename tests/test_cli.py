@@ -171,6 +171,8 @@ def test_unknown_config_key_rejected(tmp_path):
     ("transition", {**SMALL["transition"], "rules": [5], "colors": 11},
      "at most 10 colors, not 11"),
     ("classify", {"colors": 300, "rules": [5]}, "at most 10 colors, not 300"),
+    ("classify", '{"rules": [1' + "0" * 5000 + "]}",
+     "config file holds an integer with more digits than can be read"),
 ], ids=["steps-null", "steps-true", "steps-float", "colors-11-sampled",
         "threshold-null", "rules-item-null", "ic-item-null",
         "rules-item-float", "rules-item-true", "normalize-string",
@@ -178,14 +180,15 @@ def test_unknown_config_key_rejected(tmp_path):
         "tm-search-top-negative", "q-nan", "q-infinity",
         "threshold-infinity", "threshold-minus-infinity", "q-negative",
         "rules-repeated", "classify-colors-11", "profile-colors-11",
-        "transition-colors-11", "classify-colors-300"])
+        "transition-colors-11", "classify-colors-300",
+        "rules-item-5001-digits"])
 def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys,
                                                 evolutions, command, config,
                                                 message):
     """The run is rejected for the one bad value, before a single evolution
-    is computed."""
+    is computed.  A string config is the file's text."""
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out),
                  "--create"]) == 2

@@ -11,6 +11,7 @@ from ccl import automaton
 from ccl import (COMPRESSOR, RuleSpec, SpaceTimeDiagram, ca_complexity,
                  compressed_length, deflate, encode_diagram, encode_sequence,
                  evolve_ca, prefix_compressed_lengths, tm_complexity)
+from ccl.complexity import _grid
 from rfc1951 import inflate
 from test_automaton import action, tm_rule_from_digits
 
@@ -139,6 +140,9 @@ class TestPrefixCompressedLengths:
         assert prefix_compressed_lengths(data, ends) == [
             compressed_length(data[:e]) for e in ends
         ]
+        # One end at the end of the data flushes the stream itself.
+        assert prefix_compressed_lengths(data, [len(data)]) == [
+            compressed_length(data)]
 
     def test_edge_cases(self):
         rng = random.Random(7)
@@ -171,6 +175,44 @@ class TestPrefixCompressedLengths:
             prefix_compressed_lengths(b"abcdef", [4, 2])
         with pytest.raises(ValueError):
             prefix_compressed_lengths(b"abcdef", [-1])
+
+
+@st.composite
+def _grid_case(draw):
+    colors = draw(st.integers(min_value=2, max_value=3))
+    rules = draw(st.lists(
+        st.integers(min_value=0, max_value=colors ** colors ** 3 - 1),
+        min_size=1, max_size=3, unique=True))
+    ics = draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=colors - 1),
+                 min_size=1, max_size=5).map(tuple),
+        min_size=1, max_size=4))
+    t_block = draw(st.integers(min_value=1, max_value=12))
+    blocks = draw(st.integers(min_value=1, max_value=3))
+    return [RuleSpec.ca(colors, r) for r in rules], ics, t_block, blocks
+
+
+class TestGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(_grid_case())
+    def test_every_cell_is_its_own_evolution_compressed(self, case):
+        rules, ics, t_block, blocks = case
+        w = max(len(ic) for ic in ics) + 2 * (t_block * blocks + 1)
+        want = [[[compressed_length(encode_diagram(
+                     evolve_ca(rule, ic, b * t_block, width=w)))
+                  for b in range(1, blocks + 1)] for ic in ics]
+                for rule in rules]
+        for threads in (1, 2):
+            assert _grid(rules, ics, t_block, blocks, threads) == want
+
+    def test_refuses_eleven_colors_before_evolving_any_rule(self,
+                                                            monkeypatch):
+        def evolve(*args, **kwargs):
+            raise AssertionError("evolved before the color check")
+
+        monkeypatch.setattr("ccl.complexity.evolve_ca", evolve)
+        with pytest.raises(ValueError, match="at most 10 colors"):
+            _grid([RuleSpec.eca(30), RuleSpec.ca(11, 0)], [(1,)], 5, 1)
 
 
 class TestCaComplexity:

@@ -24,8 +24,7 @@ from ccl import (CA, TM, RuleSpec, ca_complexity, initial_condition,
                  tm_complexity)
 from ccl.classify import sample_rule_space
 from ccl.cli import main
-from ccl.complexity import COMPRESSOR
-from ccl.transition import _prefix_lengths, _window_width
+from ccl.complexity import COMPRESSOR, _grid
 
 GOLDEN = Path(__file__).resolve().parent / "golden_lengths.json"
 PREFIX_RULES = (22, 30, 73, 109, 110)
@@ -70,12 +69,10 @@ def compute():
                      .compressed_length for r in range(256)],
     }
     for name, ics, t_block, blocks in SWEEPS:
-        width = _window_width(ics, t_block * blocks)
+        tables = _grid([RuleSpec.eca(r) for r in PREFIX_RULES],
+                       [initial_condition(j) for j in ics], t_block, blocks)
         doc[f"prefix_{name}"] = {
-            str(r): [_prefix_lengths(RuleSpec.eca(r), j, t_block, blocks,
-                                     width) for j in ics]
-            for r in PREFIX_RULES
-        }
+            str(r): table for r, table in zip(PREFIX_RULES, tables)}
     doc["k3_t200"] = {
         str(spec.rule_number): ca_complexity(spec, ic0, STEPS)
         .compressed_length

@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ccl import (InitialCondition, gray_derivate, gray_integrate,
-                 initial_condition, initial_condition_number)
-from oracles import damerau_levenshtein
+from ccl import initial_condition, initial_condition_number
+from oracles import damerau_levenshtein, gray_derivate, gray_integrate
 
 
 def left_pad(u, v):
@@ -64,22 +63,32 @@ class TestGrayIntegrate:
 
 class TestInitialCondition:
     def test_small_numbers(self):
-        assert tuple(initial_condition(0)) == (1,)
-        assert tuple(initial_condition(1)) == (1, 1)
-        assert tuple(initial_condition(2)) == (1, 1, 1)
+        assert initial_condition(0) == (1,)
+        assert initial_condition(1) == (1, 1)
+        assert initial_condition(2) == (1, 1, 1)
+
+    def test_matches_the_digitwise_definitions(self):
+        # The paper's definitions: the Gray code word of n with a 1
+        # appended, and back by integrating the word without its last 1.
+        for n in range(1, 2 ** 16):
+            ic = initial_condition(n)
+            assert ic == tuple(gray_derivate(n)) + (1,)
+            assert initial_condition_number(ic) == gray_integrate(ic[:-1])
 
     def test_number_32_round_trips(self):
         assert initial_condition_number(initial_condition(32)) == 32
 
     def test_single_cell_is_number_zero(self):
-        assert initial_condition_number(InitialCondition((1,))) == 0
-        assert initial_condition_number(InitialCondition((1, 1))) == 1
+        assert initial_condition_number((1,)) == 0
+        assert initial_condition_number((1, 1)) == 1
 
     def test_malformed_conditions_rejected(self):
         with pytest.raises(ValueError):
-            InitialCondition(())
+            initial_condition_number(())
         with pytest.raises(ValueError):
-            initial_condition_number(InitialCondition((1, 0)))
+            initial_condition_number((1, 0))
+        with pytest.raises(ValueError, match="only bits"):
+            initial_condition_number((1, 2, 1))
         with pytest.raises(ValueError):
             initial_condition_number([])
         # Every image of initial_condition starts with 1.

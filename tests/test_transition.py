@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from ccl import (RuleSpec, characteristic_exponent, coefficient_classification,
                  compressed_length, detect_spikes, encode_diagram, evolve_ca,
-                 ic_profile, initial_condition, interesting_initial_conditions,
-                 least_squares_fit, transition, transition_coefficient,
-                 transition_record, transition_sequence)
+                 ic_profile, initial_condition, initial_condition_number,
+                 interesting_initial_conditions, least_squares_fit,
+                 transition, transition_coefficient, transition_record,
+                 transition_sequence)
 from ccl.cli import main
-from ccl.transition import _exponents, _window_width
+from ccl.transition import _exponents
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -35,12 +36,11 @@ class TestCharacteristicExponent:
     def test_measures_conditions_one_to_n(self, monkeypatch):
         seen = []
 
-        def fake_prefix_lengths(rule, j, t_block, blocks, width):
-            seen.append(j)
-            return [j] * blocks
+        def fake_grid(rules, ics, t_block, blocks, threads=None):
+            seen.extend(initial_condition_number(ic) for ic in ics)
+            return [[[len(ic)] * blocks for ic in ics] for _ in rules]
 
-        monkeypatch.setattr(transition, "_prefix_lengths",
-                            fake_prefix_lengths)
+        monkeypatch.setattr(transition, "_grid", fake_grid)
         characteristic_exponent(RuleSpec.eca(22), 4, 5)
         assert seen == [1, 2, 3, 4]
 
@@ -162,7 +162,9 @@ class TestTransitionSequence:
         rule = RuleSpec.eca(22)
         n, t_block, blocks = 4, 20, 3
         seq = transition_sequence(rule, n, t_block, blocks)
-        w = _window_width(range(1, n + 1), t_block * blocks)
+        # The window of the sweep: the longest condition plus the light
+        # cone of the full runtime.
+        w = len(initial_condition(n)) + 2 * (t_block * blocks + 1)
         for b in range(1, blocks + 1):
             lengths = [
                 compressed_length(encode_diagram(evolve_ca(
@@ -205,7 +207,7 @@ class TestIcProfile:
         assert profile.steps == 40
         # spot-check one entry against a direct measurement in the same
         # window.
-        width = _window_width(range(6), 40)
+        width = len(initial_condition(5)) + 2 * (40 + 1)
         want = compressed_length(
             encode_diagram(evolve_ca(rule, initial_condition(3), 40,
                                      width=width))
