@@ -13,7 +13,7 @@ from .automaton import (CA, TM, RuleSpec, SpaceTimeDiagram, evolve_ca,
                         reached_states_sequence, state_sequence)
 from .classify import (ClassificationEntry, ClassificationReport,
                        classify_eca, cluster_1d, rank_rules,
-                       sample_rule_space, with_clusters)
+                       sample_rule_space)
 from .complexity import (COMPRESSOR, ComplexityEstimate, ca_complexity,
                          compressed_length, deflate, encode_diagram,
                          encode_sequence, prefix_compressed_lengths,
@@ -35,7 +35,7 @@ __all__ = [
     "encode_diagram", "encode_sequence",
     "ca_complexity", "tm_complexity",
     "ClassificationEntry", "ClassificationReport", "rank_rules",
-    "cluster_1d", "classify_eca", "with_clusters", "sample_rule_space",
+    "cluster_1d", "classify_eca", "sample_rule_space",
     "IcProfile", "TransitionRecord", "InterestingIcs", "CoefficientReport",
     "ic_profile", "detect_spikes", "characteristic_exponent",
     "transition_sequence", "least_squares_fit", "transition_coefficient",

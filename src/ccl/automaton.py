@@ -189,6 +189,8 @@ def evolve_ca(rule, init, steps, width=None):
     """
     if rule.kind != CA:
         raise ValueError("evolve_ca needs a CA rule")
+    if rule.colors > 256:
+        raise ValueError("evolve_ca supports at most 256 colors")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     cells = [int(c) for c in init]

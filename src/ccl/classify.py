@@ -35,22 +35,34 @@ class ClassificationReport:
         return [e.rule.rule_number for e in self.entries if e.cluster == cluster]
 
 
-def rank_rules(rules, init, steps, threads=None):
-    """One entry per rule with its compressed length, ascending: the grid
-    of one initial condition and one block of ``steps``, whose cells come
-    back in input order, so worker threads never change the report."""
+def rank_rules(rules, init, steps, threads=None, split_levels=1):
+    """Rank rules by compressed length, ascending with ties by rule number,
+    and split the lengths in two at the largest gap; ``split_levels=2``
+    splits the high cluster again, giving ids 0 (low), 1 and 2 (highest).
+
+    The lengths are the grid of one initial condition and one block of
+    ``steps``, whose cells come back in input order, so worker threads
+    never change the report.
+    """
+    if split_levels not in (1, 2):
+        raise ValueError("split_levels must be 1 or 2")
     rules = list(rules)
     if not rules:
         raise ValueError("rule set must be non-empty")
     init = tuple(int(c) for c in init)
-    lengths = [table[0][0] for table in _grid(rules, [init], steps, 1, threads)]
+    grid = _grid(rules, [init], steps, 1, threads)
+    ranked = sorted(zip((table[0][0] for table in grid), rules),
+                    key=lambda p: (p[0], p[1].rule_number))
+    lengths = [c for c, _ in ranked]
+    ids = cluster_1d(lengths)
+    if split_levels == 2 and 1 in ids:
+        # ascending lengths put cluster 1 at the end of the ranking
+        cut = ids.index(1)
+        ids[cut:] = [1 + i for i in cluster_1d(lengths[cut:])]
     c_raw = _raw_length(init, steps)
-    entries = tuple(
-        ClassificationEntry(r, c_raw, c, 0)
-        for c, r in sorted(zip(lengths, rules),
-                           key=lambda p: (p[0], p[1].rule_number))
-    )
-    return ClassificationReport(entries, steps, init)
+    return ClassificationReport(
+        tuple(ClassificationEntry(r, c_raw, c, i)
+              for (c, r), i in zip(ranked, ids)), steps, init)
 
 
 def cluster_1d(values):
@@ -68,54 +80,13 @@ def cluster_1d(values):
     return [int(v > distinct[cut]) for v in vals]
 
 
-def _recluster(report, only_cluster=None, base=0):
-    """Re-run a two-way cluster_1d over (a subset of) a report's entries,
-    returning new entries with ids offset by ``base``; an empty subset
-    changes nothing."""
-    entries = report.entries
-    picked = [i for i, e in enumerate(entries)
-              if only_cluster is None or e.cluster == only_cluster]
-    if not picked:
-        return entries
-    ids = cluster_1d(entries[i].c_compressed for i in picked)
-    relabel = {i: base + c for i, c in zip(picked, ids)}
-    return tuple(
-        ClassificationEntry(e.rule, e.c_raw, e.c_compressed,
-                            relabel.get(i, e.cluster))
-        for i, e in enumerate(entries)
-    )
-
-
-def with_clusters(report):
-    """Cluster a ranked report's compressed lengths into two largest-gap
-    groups, or one when all values are equal."""
-    return ClassificationReport(_recluster(report), report.steps,
-                                report.init)
-
-
-def _classify(rules, init, steps, threads, split_levels):
-    """The one classification path of :func:`classify_eca` and the CLI:
-    rank, cluster, and with ``split_levels=2`` split the high cluster."""
-    if split_levels not in (1, 2):
-        raise ValueError("split_levels must be 1 or 2")
-    report = with_clusters(rank_rules(rules, init, steps, threads))
-    if split_levels == 2:
-        report = ClassificationReport(
-            _recluster(report, only_cluster=1, base=1), report.steps,
-            report.init)
-    return report
-
-
 def classify_eca(steps=200, threads=None, split_levels=1):
     """Rank all 256 binary rules from the single black cell and split the
     compressed lengths into a low (simple, periodic) and a high (chaotic,
-    complex) cluster.
-
-    ``split_levels=2`` additionally splits the high cluster in two, giving
-    dense ids 0 (low), 1, and 2 (highest).
+    complex) cluster; ``split_levels`` as in :func:`rank_rules`.
     """
-    return _classify([RuleSpec.eca(n) for n in range(256)], (1,), steps,
-                     threads, split_levels)
+    return rank_rules([RuleSpec.eca(n) for n in range(256)], (1,), steps,
+                      threads, split_levels)
 
 
 def sample_rule_space(kind, colors, states, size, seed):

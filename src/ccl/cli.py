@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .automaton import CA, TM, RuleSpec
-from .classify import _classify, sample_rule_space
+from .classify import rank_rules, sample_rule_space
 from .complexity import COMPRESSOR, tm_complexity
 from .svgplot import profile_svg, ranking_svg, transition_svg
 from .transition import (_scan_block, coefficient_classification,
@@ -138,6 +138,9 @@ def _load_config(command, path, flags):
                 loaded = json.load(fh, parse_int=_int)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"config file is not UTF-8 text: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -231,8 +234,8 @@ def cmd_classify(cfg, threads):
             f"{colors}-color space needs an explicit rule list or "
             "sample_size"
         )
-    report = _classify(specs, cfg["ic"], cfg["steps"], threads,
-                       cfg["split_levels"])
+    report = rank_rules(specs, cfg["ic"], cfg["steps"], threads,
+                        cfg["split_levels"])
     entries = [{"rule": e.rule.rule_number, "kind": e.rule.kind,
                 "colors": e.rule.colors, "c_raw": e.c_raw,
                 "c_compressed": e.c_compressed, "cluster": e.cluster}

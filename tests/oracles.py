@@ -10,13 +10,15 @@ every evolution from the reversed initial condition.
 definitions of the Gray-code numbering of initial conditions, and
 ``damerau_levenshtein`` is the edit distance the Gray-code tests measure
 neighbouring initial conditions with.
+``two_level_clusters`` is the two-level largest-gap split, built from two
+plain :func:`ccl.cluster_1d` calls.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ccl import CA, TM, RuleSpec
+from ccl import CA, TM, RuleSpec, cluster_1d
 
 
 def ca_step(row, rule, background=0):
@@ -151,3 +153,13 @@ def gray_integrate(bits):
         acc = (acc + b) % 2
         n = 2 * n + acc
     return n
+
+
+def two_level_clusters(values):
+    """Cluster ids, in input order, of a largest-gap split of ``values``
+    whose high cluster is split again: 0 for the low cluster and 1 + the
+    id of the second split for the high one."""
+    ids = cluster_1d(values)
+    high = [v for v, i in zip(values, ids) if i == 1]
+    second = iter(cluster_1d(high) if high else [])
+    return [1 + next(second) if i else 0 for i in ids]

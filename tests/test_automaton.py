@@ -245,6 +245,21 @@ class TestEvolveCa:
         with pytest.raises(ValueError):
             evolve_ca(RuleSpec.eca(30), (2,), 5)
 
+    @pytest.mark.parametrize("colors", [257, 300])
+    def test_more_than_256_colors_rejected(self, colors):
+        # cells are bytes, so a digit of 256 or more has no cell value
+        with pytest.raises(ValueError,
+                           match="evolve_ca supports at most 256 colors"):
+            evolve_ca(RuleSpec.ca(colors, colors - 1), (1,), 3)
+
+    def test_256_colors_evolve_digit_255(self):
+        # only the all-0 neighborhood maps to 255, and it turns the
+        # background to 255, whose own neighborhood maps back to 0
+        d = evolve_ca(RuleSpec.ca(256, 255), (1,), 2)
+        assert d.cells.tolist() == [[0, 0, 0, 1, 0, 0, 0],
+                                    [255, 255, 0, 0, 0, 255, 255],
+                                    [0, 0, 0, 255, 0, 0, 0]]
+
 
 def tm_rule_from_digits(digits, states=2, colors=3):
     """Build a rule number from per-(state,color) action digits, most

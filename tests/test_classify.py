@@ -4,7 +4,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ccl.complexity
@@ -13,7 +13,7 @@ from ccl import (CA, COMPRESSOR, TM, RuleSpec, ca_complexity, classify_eca,
                  sample_rule_space)
 from ccl.complexity import _parallel_map
 from ccl.cli import main
-from oracles import mirror
+from oracles import mirror, two_level_clusters
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -97,6 +97,28 @@ class TestRankRules:
         serial = rank_rules(rules, (1,), 60, threads=1)
         threaded = rank_rules(rules, (1,), 60, threads=4)
         assert serial == threaded
+
+    # At t=20 rules 4 and 12 have equal lengths, so there is no cluster 1;
+    # rules 30 and 89 share the high cluster at one length above rule 4's.
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 255), min_size=1, max_size=12,
+                    unique=True), st.integers(1, 20))
+    @example([4, 12], 20)
+    @example([89, 4, 30], 20)
+    def test_two_level_split_matches_oracle(self, numbers, steps):
+        lengths = {n: ca_complexity(RuleSpec.eca(n), (1,),
+                                    steps).compressed_length
+                   for n in numbers}
+        ranked = sorted(numbers, key=lambda n: (lengths[n], n))
+        report = rank_rules([RuleSpec.eca(n) for n in numbers], (1,), steps,
+                            split_levels=2)
+        assert [e.rule.rule_number for e in report.entries] == ranked
+        assert [e.cluster for e in report.entries] == two_level_clusters(
+            [lengths[n] for n in ranked])
+
+    def test_bad_split_levels_rejected_first(self):
+        with pytest.raises(ValueError, match="split_levels must be 1 or 2"):
+            rank_rules([], (1,), 10, split_levels=3)
 
 
 class TestClassifyEca:

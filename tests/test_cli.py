@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl import (RuleSpec, classify_eca, cluster_1d,
-                 coefficient_classification, complexity,
-                 interesting_initial_conditions, rank_rules,
-                 transition_coefficient, transition_record, with_clusters)
+from ccl import (RuleSpec, classify_eca, coefficient_classification,
+                 complexity, interesting_initial_conditions, rank_rules,
+                 transition_coefficient, transition_record)
 from ccl.cli import _PARAMS, main
+from oracles import two_level_clusters
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -173,6 +173,7 @@ def test_unknown_config_key_rejected(tmp_path):
     ("classify", {"colors": 300, "rules": [5]}, "at most 10 colors, not 300"),
     ("classify", '{"rules": [1' + "0" * 5000 + "]}",
      "config file holds an integer with more digits than can be read"),
+    ("classify", b"\xff{}", "config file is not UTF-8 text"),
 ], ids=["steps-null", "steps-true", "steps-float", "colors-11-sampled",
         "threshold-null", "rules-item-null", "ic-item-null",
         "rules-item-float", "rules-item-true", "normalize-string",
@@ -181,20 +182,27 @@ def test_unknown_config_key_rejected(tmp_path):
         "threshold-infinity", "threshold-minus-infinity", "q-negative",
         "rules-repeated", "classify-colors-11", "profile-colors-11",
         "transition-colors-11", "classify-colors-300",
-        "rules-item-5001-digits"])
+        "rules-item-5001-digits", "config-not-utf-8"])
 def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys,
                                                 evolutions, command, config,
                                                 message):
     """The run is rejected for the one bad value, before a single evolution
-    is computed.  A string config is the file's text."""
+    is computed.  A string config is the file's text, a bytes config its
+    bytes."""
     cfg = tmp_path / "run.json"
-    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+    if isinstance(config, bytes):
+        cfg.write_bytes(config)
+    else:
+        cfg.write_text(config if isinstance(config, str)
+                       else json.dumps(config))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out),
                  "--create"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ccl: ") and err.count("\n") == 1
     assert message in err
+    if isinstance(config, bytes):
+        assert err.endswith(f"{cfg}\n")
     assert not out.exists()
     assert evolutions == []
 
@@ -504,8 +512,8 @@ def test_full_eca_classify_uses_the_configured_ic(tmp_path):
     assert doc["parameters"]["init"] == [1, 0, 1, 1]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["parameters"]["ic"] == [1, 0, 1, 1]
-    want = with_clusters(rank_rules(
-        [RuleSpec.eca(n) for n in range(256)], (1, 0, 1, 1), 20))
+    want = rank_rules(
+        [RuleSpec.eca(n) for n in range(256)], (1, 0, 1, 1), 20)
     assert doc["entries"] == [
         {"rule": e.rule.rule_number, "kind": "CA", "colors": 2,
          "c_raw": e.c_raw, "c_compressed": e.c_compressed,
@@ -526,14 +534,10 @@ def test_rule_list_classify_splits_two_levels(tmp_path, rules, cluster_ids):
                  "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "classification.json").read_text())
     got = {e["rule"]: e["cluster"] for e in doc["entries"]}
-    flat = with_clusters(rank_rules([RuleSpec.eca(n) for n in rules], (1,),
-                                    20))
-    high = [e for e in flat.entries if e.cluster == 1]
-    values = [e.c_compressed for e in high]
-    ids = cluster_1d(values) if values else []
-    want = {e.rule.rule_number: 0 for e in flat.entries if e.cluster == 0}
-    want.update({e.rule.rule_number: 1 + i for e, i in zip(high, ids)})
-    assert got == want
+    flat = rank_rules([RuleSpec.eca(n) for n in rules], (1,), 20)
+    want = two_level_clusters([e.c_compressed for e in flat.entries])
+    assert got == {e.rule.rule_number: i
+                   for e, i in zip(flat.entries, want)}
     assert sorted(set(got.values())) == cluster_ids
 
 
