@@ -19,12 +19,11 @@ from .complexity import (COMPRESSOR, ComplexityEstimate, ca_complexity,
                          encode_sequence, prefix_compressed_lengths,
                          tm_complexity)
 from .initcond import initial_condition, initial_condition_number
-from .transition import (CoefficientReport, IcProfile, InterestingIcs,
-                         TransitionRecord, characteristic_exponent,
-                         coefficient_classification, detect_spikes,
-                         ic_profile, interesting_initial_conditions,
-                         least_squares_fit, transition_coefficient,
-                         transition_record, transition_sequence)
+from .transition import (CoefficientReport, InterestingIcs, TransitionRecord,
+                         characteristic_exponent, coefficient_classification,
+                         detect_spikes, ic_profile,
+                         interesting_initial_conditions, least_squares_fit,
+                         transition_record)
 
 __all__ = [
     "CA", "TM", "RuleSpec", "SpaceTimeDiagram", "evolve_ca",
@@ -36,10 +35,9 @@ __all__ = [
     "ca_complexity", "tm_complexity",
     "ClassificationEntry", "ClassificationReport", "rank_rules",
     "cluster_1d", "classify_eca", "sample_rule_space",
-    "IcProfile", "TransitionRecord", "InterestingIcs", "CoefficientReport",
+    "TransitionRecord", "InterestingIcs", "CoefficientReport",
     "ic_profile", "detect_spikes", "characteristic_exponent",
-    "transition_sequence", "least_squares_fit", "transition_coefficient",
-    "transition_record", "interesting_initial_conditions",
+    "least_squares_fit", "transition_record", "interesting_initial_conditions",
     "coefficient_classification",
     "__version__",
 ]

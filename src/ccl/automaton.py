@@ -193,11 +193,15 @@ def evolve_ca(rule, init, steps, width=None):
         raise ValueError("evolve_ca supports at most 256 colors")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    cells = [int(c) for c in init]
+    cells = list(init)
     if not cells:
         raise ValueError("initial condition must be non-empty")
-    if any(c < 0 or c >= rule.colors for c in cells):
-        raise ValueError(f"cell values must lie in [0, {rule.colors})")
+    # ``in range`` compares a non-int by value: 1.0 and uint8 1 pass, while
+    # 1.7 and "1" are refused instead of truncated or parsed.
+    if not all(c in range(rule.colors) for c in cells):
+        raise ValueError(
+            f"cell values must be integers in [0, {rule.colors})")
+    cells = [int(c) for c in cells]
     min_width = len(cells) + 2 * (steps + 1)
     if width is None:
         width = min_width

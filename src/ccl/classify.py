@@ -49,7 +49,7 @@ def rank_rules(rules, init, steps, threads=None, split_levels=1):
     rules = list(rules)
     if not rules:
         raise ValueError("rule set must be non-empty")
-    init = tuple(int(c) for c in init)
+    init = tuple(init)
     grid = _grid(rules, [init], steps, 1, threads)
     ranked = sorted(zip((table[0][0] for table in grid), rules),
                     key=lambda p: (p[0], p[1].rule_number))
@@ -62,7 +62,8 @@ def rank_rules(rules, init, steps, threads=None, split_levels=1):
     c_raw = _raw_length(init, steps)
     return ClassificationReport(
         tuple(ClassificationEntry(r, c_raw, c, i)
-              for (c, r), i in zip(ranked, ids)), steps, init)
+              for (c, r), i in zip(ranked, ids)), steps,
+        tuple(map(int, init)))
 
 
 def cluster_1d(values):
@@ -101,9 +102,7 @@ def sample_rule_space(kind, colors, states, size, seed):
             f"sample size {size} exceeds space size {shape.space_size}")
     if shape._space_exceeds(sys.maxsize):
         raise ValueError(
-            f"cannot sample a space of more than {sys.maxsize} rules; "
-            "give an explicit rule list"
-        )
+            f"cannot sample a space of more than {sys.maxsize} rules")
     rng = random.Random(seed)
     numbers = sorted(rng.sample(range(shape.space_size), size))
     return [RuleSpec(kind, colors, n, states) for n in numbers]

@@ -56,7 +56,8 @@ def _table(**params):
 # One table per subcommand, in flag order; ``seed`` is shared by all five.
 # A ``rules`` value is a list of rule numbers, or a string or one number
 # parsed as on the command line.
-_SEED = _table(seed=_Param(0, metavar="U64", help="sampling seed"))
+_SEED = _table(seed=_Param(0, minimum=0, metavar="U64",
+                          help="sampling seed"))
 _RULES = _Param(None, (list, str, int), help="comma-separated rule numbers")
 _PARAMS = {
     "classify": _table(
@@ -306,9 +307,9 @@ def cmd_profile(cfg, threads):
     return {
         f"profile-{rule.rule_number}.csv": _csv(
             "ic,length", [{"ic": j, "length": v}
-                          for j, v in enumerate(profile.lengths)]),
+                          for j, v in enumerate(profile)]),
         f"profile-{rule.rule_number}.svg": profile_svg(
-            profile, f"rule {rule.rule_number} profile (t={profile.steps})",
+            profile, f"rule {rule.rule_number} profile (t={cfg['steps']})",
             spikes),
         "spikes.json": _json({"rule": rule.rule_number, "q": float(cfg["q"]),
                               "spikes": spikes}),

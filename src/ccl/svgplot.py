@@ -101,7 +101,7 @@ def ranking_svg(report):
 
 def profile_svg(profile, title, spikes=None):
     """Profile curve over initial-condition numbers, spikes marked."""
-    vals = list(getattr(profile, "lengths", profile))
+    vals = list(profile)
     xs = list(range(len(vals)))
     to_px, bounds = _scale(xs, vals)
     parts = _frame(title, bounds)

@@ -29,17 +29,6 @@ from .initcond import initial_condition
 
 
 @dataclass(frozen=True)
-class IcProfile:
-    """Compressed length of a rule's evolution for each initial condition
-    number 0..len(lengths)-1, all measured in a common window."""
-
-    rule: object
-    steps: int
-    lengths: tuple
-    normalized: bool
-
-
-@dataclass(frozen=True)
 class TransitionRecord:
     """One rule's characteristic-exponent sequence over growing runtimes,
     its fitted line, and the coefficient C (= fitted slope)."""
@@ -97,30 +86,28 @@ def _scan_block(count, t, blocks, m):
     return t // blocks
 
 
-def _exponents(table, divisors):
+def _exponents(table, t_block):
     """Characteristic exponent of each column of a lengths table (rows:
-    consecutive initial conditions, columns: runtime blocks): the mean
-    absolute difference between successive rows, divided by that column's
-    divisor."""
+    consecutive initial conditions, column b: runtime (b+1)*t_block): the
+    mean absolute difference between successive rows, divided by that
+    column's runtime."""
     out = []
-    for b, divisor in enumerate(divisors):
+    for b in range(len(table[0])):
         diffs = [abs(hi[b] - lo[b]) for lo, hi in zip(table, table[1:])]
-        out.append(sum(diffs) / len(diffs) / divisor)
+        out.append(sum(diffs) / len(diffs) / ((b + 1) * t_block))
     return out
 
 
 def ic_profile(rule, m, steps, normalize=False, threads=None):
-    """Compressed length of ``rule``'s evolution from initial conditions
-    0..m-1, each run for ``steps`` steps in the common window."""
+    """Tuple of the compressed lengths of ``rule``'s evolution from initial
+    conditions 0..m-1, each run for ``steps`` steps in the common window;
+    divided by ``steps`` when ``normalize`` is set."""
     if m < 1:
         raise ValueError("need at least one initial condition")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     [table] = _sweep([rule], range(m), steps, 1, threads)
-    lengths = [row[0] for row in table]
-    if normalize:
-        lengths = [c / steps for c in lengths]
-    return IcProfile(rule, steps, tuple(lengths), normalize)
+    return tuple(row[0] / steps if normalize else row[0] for row in table)
 
 
 def detect_spikes(profile, q=3.0):
@@ -134,7 +121,7 @@ def detect_spikes(profile, q=3.0):
     """
     if not q >= 0:
         raise ValueError("q must be >= 0")
-    vals = list(profile.lengths) if isinstance(profile, IcProfile) else list(profile)
+    vals = list(profile)
     if len(vals) < 2:
         return []
     diffs = [hi - lo for lo, hi in zip(vals, vals[1:])]
@@ -150,8 +137,7 @@ def _exponent_sequences(rules, n, t_block, blocks, threads=None):
         raise ValueError("need at least two initial conditions")
     if t_block < 1:
         raise ValueError("t_block must be >= 1")
-    runtimes = [b * t_block for b in range(1, blocks + 1)]
-    return [_exponents(table, runtimes)
+    return [_exponents(table, t_block)
             for table in _sweep(rules, range(1, n + 1), t_block, blocks,
                                 threads)]
 
@@ -173,13 +159,6 @@ def _records(rules, n, t_block, blocks, threads=None):
             for rule, seq in zip(rules, seqs)]
 
 
-def transition_sequence(rule, n, t_block, blocks, threads=None):
-    """Characteristic exponents of ``rule`` at runtimes t_block, 2*t_block,
-    ..., blocks*t_block, all measured inside the full-runtime window, so
-    each initial condition is evolved and encoded only once."""
-    return list(_records([rule], n, t_block, blocks, threads)[0].S_c)
-
-
 def least_squares_fit(seq):
     """Ordinary least squares line through (1, seq[0]), (2, seq[1]), ...;
     returns (intercept, slope)."""
@@ -195,13 +174,12 @@ def least_squares_fit(seq):
     return ybar - slope * xbar, slope
 
 
-def transition_coefficient(rule, n=20, t_block=75, blocks=4, threads=None):
-    """Slope of the least-squares line through the transition sequence."""
-    return transition_record(rule, n, t_block, blocks, threads).C
-
-
 def transition_record(rule, n=20, t_block=75, blocks=4, threads=None):
-    """Full record for one rule: S_c, fitted line, coefficient."""
+    """The :class:`TransitionRecord` of one rule.  ``S_c`` is its transition
+    sequence: the characteristic exponents over initial conditions 1..n at
+    runtimes t_block, 2*t_block, ..., blocks*t_block, each a row prefix of
+    one evolution per condition.  ``C`` is the transition coefficient, the
+    slope of the least-squares line ``fit`` through ``S_c``."""
     return _records([rule], n, t_block, blocks, threads)[0]
 
 
@@ -228,9 +206,7 @@ def interesting_initial_conditions(rule, count=10, t=600, blocks=12, m=30,
     ics = tuple(sorted(j for _, j in ranked[:count]))
 
     # Coefficient over the same sweep (conditions 1..m-1), reusing lengths.
-    runtimes = [b * t_block for b in range(1, blocks + 1)]
-    seq = _exponents(per_ic[1:], runtimes)
-    coeff = least_squares_fit(seq)[1]
+    coeff = least_squares_fit(_exponents(per_ic[1:], t_block))[1]
     return InterestingIcs(rule, ics, tuple(agg), coeff, threshold,
                           warning=not coeff > threshold)
 

@@ -63,7 +63,7 @@ def test_criterion_04_exponent_formula_matches_oracle():
         n = rng.randint(2, 12)
         t = rng.randint(1, 500)
         table = {j: rng.randint(0, 10 ** 6) for j in range(1, n + 1)}
-        got = _exponents([[table[j]] for j in range(1, n + 1)], [t])[0]
+        got = _exponents([[table[j]] for j in range(1, n + 1)], t)[0]
         want = sum(
             abs(table[j + 1] - table[j]) for j in range(1, n)
         ) / ((n - 1) * t)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl import (CA, TM, RuleSpec, evolve_ca, reached_states_sequence,
-                 state_sequence)
+from ccl import (CA, TM, RuleSpec, ca_complexity, evolve_ca, rank_rules,
+                 reached_states_sequence, state_sequence)
 from ccl import automaton
 from ccl.automaton import _bits_to_cells, _evolve_bits, _evolve_lookup, _run
 from oracles import BLANK_TM, TmConfiguration, ca_step, mirror, tm_step
@@ -244,6 +244,29 @@ class TestEvolveCa:
             evolve_ca(RuleSpec.eca(30), (), 5)
         with pytest.raises(ValueError):
             evolve_ca(RuleSpec.eca(30), (2,), 5)
+
+    # Every path that evolves a CA from a caller's initial condition.
+    MEASURES = {
+        "evolve_ca": lambda init: evolve_ca(RuleSpec.eca(30), init, 5),
+        "rank_rules": lambda init: rank_rules([RuleSpec.eca(30)], init, 5),
+        "ca_complexity": lambda init: ca_complexity(RuleSpec.eca(30), init,
+                                                    5),
+    }
+
+    @pytest.mark.parametrize("cell", [1.7, "1", 1.9])
+    @pytest.mark.parametrize("measure", list(MEASURES))
+    def test_non_integer_cells_rejected(self, measure, cell):
+        with pytest.raises(ValueError, match="must be integers"):
+            self.MEASURES[measure]((cell,))
+
+    @pytest.mark.parametrize("cell", [1.0, np.uint8(1)],
+                             ids=["float", "uint8"])
+    @pytest.mark.parametrize("measure", list(MEASURES))
+    def test_integer_valued_cells_count_as_integers(self, measure, cell):
+        got = self.MEASURES[measure]((cell,))
+        assert got == self.MEASURES[measure]((1,))
+        if measure == "rank_rules":
+            assert type(got.init[0]) is int
 
     @pytest.mark.parametrize("colors", [257, 300])
     def test_more_than_256_colors_rejected(self, colors):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ccl import (RuleSpec, classify_eca, coefficient_classification,
                  complexity, interesting_initial_conditions, rank_rules,
-                 transition_coefficient, transition_record)
+                 transition_record)
 from ccl.cli import _PARAMS, main
 from oracles import two_level_clusters
 
@@ -174,6 +174,7 @@ def test_unknown_config_key_rejected(tmp_path):
     ("classify", '{"rules": [1' + "0" * 5000 + "]}",
      "config file holds an integer with more digits than can be read"),
     ("classify", b"\xff{}", "config file is not UTF-8 text"),
+    ("sample", {"seed": -5}, "seed must be >= 0"),
 ], ids=["steps-null", "steps-true", "steps-float", "colors-11-sampled",
         "threshold-null", "rules-item-null", "ic-item-null",
         "rules-item-float", "rules-item-true", "normalize-string",
@@ -182,7 +183,7 @@ def test_unknown_config_key_rejected(tmp_path):
         "threshold-infinity", "threshold-minus-infinity", "q-negative",
         "rules-repeated", "classify-colors-11", "profile-colors-11",
         "transition-colors-11", "classify-colors-300",
-        "rules-item-5001-digits", "config-not-utf-8"])
+        "rules-item-5001-digits", "config-not-utf-8", "seed-negative"])
 def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys,
                                                 evolutions, command, config,
                                                 message):
@@ -264,11 +265,15 @@ def test_every_key_rejects_a_wrong_json_type(tmp_path, capsys, command, key,
      "at most 10 colors, not 11"),
     (["tm-search", "--states", "2000", "--colors", "2", "--exhaustive"],
      "over 8000**4000 machines exceeds the budget of 100000"),
+    (["sample", "--seed=-5", "--sample-size", "5"], "seed must be >= 0"),
+    (["tm-search", "--states", "5", "--colors", "3"],
+     "cannot sample a space of more than"),
 ], ids=["tm-search-top", "transition-top", "transition-blocks",
         "transition-n", "transition-count-0", "transition-profile-steps-21",
         "transition-profile-steps-0", "transition-top-0-count-0", "q-nan",
         "q-negative", "transition-rules-repeated", "classify-colors-11",
-        "tm-search-2000-states-exhaustive"])
+        "tm-search-2000-states-exhaustive", "sample-seed-negative",
+        "tm-search-space-too-large"])
 def test_bad_flag_values_exit_2_before_writing(tmp_path, capsys, evolutions,
                                                argv, message):
     """The run is rejected for the one bad value, before a single evolution
@@ -403,8 +408,7 @@ def test_manifest_records_every_parameter(tmp_path, argv, given):
 # library function also declares.
 LIBRARY_DEFAULTS = [
     *[("transition", key, fn, key)
-      for fn in (coefficient_classification, transition_record,
-                 transition_coefficient)
+      for fn in (coefficient_classification, transition_record)
       for key in ("n", "t_block", "blocks")],
     *[("transition", key, interesting_initial_conditions, parameter)
       for key, parameter in (("count", "count"), ("profile_steps", "t"),

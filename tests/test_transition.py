@@ -12,8 +12,7 @@ from ccl import (RuleSpec, characteristic_exponent, coefficient_classification,
                  compressed_length, detect_spikes, encode_diagram, evolve_ca,
                  ic_profile, initial_condition, initial_condition_number,
                  interesting_initial_conditions, least_squares_fit,
-                 transition, transition_coefficient, transition_record,
-                 transition_sequence)
+                 transition, transition_record)
 from ccl.cli import main
 from ccl.transition import _exponents
 
@@ -23,7 +22,7 @@ SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 def exponent(lengths, t):
     """The one exponent formula over the lengths of consecutive initial
     conditions, run for ``t`` steps."""
-    return _exponents([[c] for c in lengths], [t])[0]
+    return _exponents([[c] for c in lengths], t)[0]
 
 
 class TestCharacteristicExponent:
@@ -69,6 +68,27 @@ class TestCharacteristicExponent:
             abs(lengths[i + 1] - lengths[i]) for i in range(n - 1)
         ) / (t * (n - 1))
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.integers(min_value=0, max_value=10**6),
+                         min_size=cols, max_size=cols),
+                min_size=2, max_size=12)),
+        st.integers(min_value=1, max_value=500),
+    )
+    def test_column_b_is_divided_by_its_runtime(self, table, t_block):
+        """Column b (from 0) of a lengths table is the runtime
+        (b+1)*t_block, so that is its divisor."""
+        rows = len(table)
+        got = _exponents(table, t_block)
+        assert len(got) == len(table[0])
+        for b, value in enumerate(got):
+            diffs = sum(abs(table[i + 1][b] - table[i][b])
+                        for i in range(rows - 1))
+            want = diffs / (rows - 1) / ((b + 1) * t_block)
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_nonnegative_and_parameter_checks(self):
         rule = RuleSpec.eca(22)
@@ -161,7 +181,7 @@ class TestTransitionSequence:
     def test_matches_per_block_exponents_at_pinned_width(self):
         rule = RuleSpec.eca(22)
         n, t_block, blocks = 4, 20, 3
-        seq = transition_sequence(rule, n, t_block, blocks)
+        seq = transition_record(rule, n, t_block, blocks).S_c
         # The window of the sweep: the longest condition plus the light
         # cone of the full runtime.
         w = len(initial_condition(n)) + 2 * (t_block * blocks + 1)
@@ -176,7 +196,7 @@ class TestTransitionSequence:
 
     def test_needs_two_blocks(self):
         with pytest.raises(ValueError):
-            transition_sequence(RuleSpec.eca(22), 4, 20, 1)
+            transition_record(RuleSpec.eca(22), 4, 20, 1)
 
     def test_stub_free_zero_composition(self):
         # a system whose lengths ignore the initial condition has an
@@ -203,8 +223,7 @@ class TestIcProfile:
     def test_lengths_align_with_ic_numbers(self):
         rule = RuleSpec.eca(110)
         profile = ic_profile(rule, 6, 40)
-        assert len(profile.lengths) == 6
-        assert profile.steps == 40
+        assert len(profile) == 6
         # spot-check one entry against a direct measurement in the same
         # window.
         width = len(initial_condition(5)) + 2 * (40 + 1)
@@ -212,18 +231,17 @@ class TestIcProfile:
             encode_diagram(evolve_ca(rule, initial_condition(3), 40,
                                      width=width))
         )
-        assert profile.lengths[3] == want
+        assert profile[3] == want
 
     def test_dead_rule_profile_is_near_constant(self):
         profile = ic_profile(RuleSpec.eca(0), 8, 50)
-        spread = max(profile.lengths) - min(profile.lengths)
+        spread = max(profile) - min(profile)
         assert spread <= 8
 
     def test_normalization_divides_by_steps(self):
         raw = ic_profile(RuleSpec.eca(30), 5, 40)
         norm = ic_profile(RuleSpec.eca(30), 5, 40, normalize=True)
-        assert norm.normalized
-        for a, b in zip(raw.lengths, norm.lengths):
+        for a, b in zip(raw, norm):
             assert b == pytest.approx(a / 40, rel=1e-12)
 
     def test_threaded_profile_identical(self):
@@ -262,8 +280,8 @@ class TestInterestingInitialConditions:
     def test_coefficient_is_the_sweep_coefficient(self, number):
         rule = RuleSpec.eca(number)
         found = interesting_initial_conditions(rule, t=60, blocks=3, m=8)
-        assert found.coefficient == transition_coefficient(
-            rule, n=7, t_block=20, blocks=3)
+        assert found.coefficient == transition_record(
+            rule, n=7, t_block=20, blocks=3).C
 
     def test_rule_22_jump_sites(self):
         found = interesting_initial_conditions(RuleSpec.eca(22), threads=4)
