@@ -28,8 +28,6 @@ class ClassificationReport:
     dense from 0 and ordered by cluster mean."""
 
     entries: tuple
-    steps: int
-    init: tuple
 
     def cluster_members(self, cluster):
         return [e.rule.rule_number for e in self.entries if e.cluster == cluster]
@@ -62,8 +60,7 @@ def rank_rules(rules, init, steps, threads=None, split_levels=1):
     c_raw = _raw_length(init, steps)
     return ClassificationReport(
         tuple(ClassificationEntry(r, c_raw, c, i)
-              for (c, r), i in zip(ranked, ids)), steps,
-        tuple(map(int, init)))
+              for (c, r), i in zip(ranked, ids)))
 
 
 def cluster_1d(values):

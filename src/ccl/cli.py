@@ -19,7 +19,7 @@ from . import __version__
 from .automaton import CA, TM, RuleSpec
 from .classify import rank_rules, sample_rule_space
 from .complexity import COMPRESSOR, tm_complexity
-from .svgplot import profile_svg, ranking_svg, transition_svg
+from .svgplot import plot_svg
 from .transition import (_scan_block, coefficient_classification,
                          detect_spikes, ic_profile,
                          interesting_initial_conditions)
@@ -186,10 +186,14 @@ def _resolve_threads(flag_value):
     return value
 
 
-def _write(outdir, files):
-    """Land ``files`` (name -> text) in ``outdir``, created if missing, in
-    order, each written to a temporary name and then renamed into place."""
-    os.makedirs(outdir, exist_ok=True)
+def _write(outdir, files, create):
+    """Land ``files`` (name -> text) in ``outdir``, created if missing and
+    ``create`` is set, in order, each written to a temporary name and then
+    renamed into place."""
+    if create:
+        os.makedirs(outdir, exist_ok=True)
+    elif not os.path.isdir(outdir):
+        raise OSError(f"output directory does not exist: {outdir}")
     for name, text in files.items():
         path = os.path.join(outdir, name)
         tmp = path + ".tmp"
@@ -241,13 +245,19 @@ def cmd_classify(cfg, threads):
                 "colors": e.rule.colors, "c_raw": e.c_raw,
                 "c_compressed": e.c_compressed, "cluster": e.cluster}
                for e in report.entries]
-    parameters = {"steps": report.steps, "init": list(report.init),
+    parameters = {"steps": cfg["steps"], "init": cfg["ic"],
                   "compressor": COMPRESSOR["id"]}
+    clusters = {}
+    for x, e in enumerate(entries):
+        clusters.setdefault(e["cluster"], []).append((x, e["c_compressed"]))
     return {"classification.csv": _csv(
                 "rule,kind,colors,c_raw,c_compressed,cluster", entries),
             "classification.json": _json({"parameters": parameters,
                                           "entries": entries}),
-            "ranking.svg": ranking_svg(report)}
+            "ranking.svg": plot_svg(
+                f"compressed length by rank (t={cfg['steps']}, "
+                f"{COMPRESSOR['id']})",
+                dots=[(clusters[c], c, 2.0) for c in sorted(clusters)])}
 
 
 def cmd_transition(cfg, threads):
@@ -264,8 +274,8 @@ def cmd_transition(cfg, threads):
         specs, cfg["n"], cfg["t_block"], cfg["blocks"], threads=threads,
     )
     entries = [{"rule": rec.rule.rule_number, "kind": rec.rule.kind,
-                "colors": rec.rule.colors, "n": rec.n,
-                "t_block": rec.t_block, "blocks": rec.blocks,
+                "colors": rec.rule.colors, "n": cfg["n"],
+                "t_block": cfg["t_block"], "blocks": cfg["blocks"],
                 "S_c": list(rec.S_c), "intercept": rec.fit[0],
                 "coefficient": rec.C, "cluster": cluster}
                for rec, cluster in zip(report.records, report.clusters)]
@@ -276,7 +286,13 @@ def cmd_transition(cfg, threads):
              "coefficients.json": _json({"parameters": parameters,
                                          "entries": entries})}
     for rec in report.records:
-        files[f"profile-{rec.rule.rule_number}.svg"] = transition_svg(rec)
+        intercept, slope = rec.fit
+        ends = (1, len(rec.S_c))
+        files[f"profile-{rec.rule.rule_number}.svg"] = plot_svg(
+            f"rule {rec.rule.rule_number}: S_c and fit "
+            f"(C={format(rec.C, '.4g')})",
+            lines=[([(x, intercept + slope * x) for x in ends], 1)],
+            dots=[(list(enumerate(rec.S_c, 1)), 0, 3.0)])
     threshold = float(cfg["threshold"])
     scans = []
     for rec in report.records[: cfg["top"]]:
@@ -287,7 +303,7 @@ def cmd_transition(cfg, threads):
         scans.append({"rule": rec.rule.rule_number, "ics": list(found.ics),
                       "profile": list(found.profile),
                       "coefficient": found.coefficient,
-                      "threshold": found.threshold,
+                      "threshold": threshold,
                       "warning": found.warning})
         files[f"profile-{rec.rule.rule_number}.csv"] = _csv(
             "ic,score", [{"ic": j, "score": v}
@@ -308,9 +324,10 @@ def cmd_profile(cfg, threads):
         f"profile-{rule.rule_number}.csv": _csv(
             "ic,length", [{"ic": j, "length": v}
                           for j, v in enumerate(profile)]),
-        f"profile-{rule.rule_number}.svg": profile_svg(
-            profile, f"rule {rule.rule_number} profile (t={cfg['steps']})",
-            spikes),
+        f"profile-{rule.rule_number}.svg": plot_svg(
+            f"rule {rule.rule_number} profile (t={cfg['steps']})",
+            lines=[(list(enumerate(profile)), 0)],
+            dots=[([(j, profile[j]) for j in spikes], 1, 3.0)]),
         "spikes.json": _json({"rule": rule.rule_number, "q": float(cfg["q"]),
                               "spikes": spikes}),
     }
@@ -343,9 +360,9 @@ def cmd_tm_search(cfg, threads):
 
 
 def cmd_sample(cfg, threads):
-    kind = cfg["kind"].upper()
+    kind = cfg["kind"]
     if kind not in (CA, TM):
-        raise ConfigError(f"kind must be CA or TM, not {cfg['kind']!r}")
+        raise ConfigError(f"kind must be CA or TM, not {kind!r}")
     specs = sample_rule_space(kind, cfg["colors"], cfg["states"],
                               cfg["sample_size"], cfg["seed"])
     doc = {
@@ -414,8 +431,6 @@ def main(argv=None):
     try:
         cfg = _load_config(args.command, args.config, vars(args))
         threads = _resolve_threads(args.threads)
-        if not (args.create or os.path.isdir(args.out)):
-            raise OSError(f"output directory does not exist: {args.out}")
         files = _COMMANDS[args.command][0](cfg, threads)
         files["compressor.cfg"] = (
             "# raw DEFLATE (RFC 1951) compressor parameters\n" + "".join(
@@ -425,7 +440,7 @@ def main(argv=None):
             "tool": "ccl", "version": __version__, "command": args.command,
             "parameters": cfg, "compressor": COMPRESSOR,
         }, sort_keys=True)
-        _write(args.out, files)
+        _write(args.out, files, args.create)
     except (ConfigError, ValueError) as exc:
         print(f"ccl: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,8 +5,6 @@ same data always serializes to the same bytes, so plots can be golden-file
 tested and diffed like any other report.
 """
 
-from .complexity import COMPRESSOR
-
 WIDTH = 640
 HEIGHT = 400
 MARGIN = 48
@@ -67,7 +65,7 @@ def _polyline(points, to_px, color):
     )
 
 
-def _dots(points, to_px, color, r=3.0):
+def _dots(points, to_px, color, r):
     out = []
     for x, y in points:
         px, py = to_px(x, y)
@@ -78,57 +76,15 @@ def _dots(points, to_px, color, r=3.0):
     return out
 
 
-def ranking_svg(report):
-    """Compressed length against rank, colored by cluster."""
-    entries = report.entries
-    xs = list(range(len(entries)))
-    ys = [e.c_compressed for e in entries]
+def plot_svg(title, lines=(), dots=()):
+    """A plot of each ``(points, color)`` of ``lines`` as a polyline, then
+    each ``(points, color, r)`` of ``dots`` as circles of radius ``r``.  The
+    axes span every point drawn; a color is an index into the palette."""
+    xs, ys = zip(*(p for pts, *_ in (*lines, *dots) for p in pts))
     to_px, bounds = _scale(xs, ys)
-    parts = _frame(
-        f"compressed length by rank (t={report.steps}, "
-        f"{COMPRESSOR['id']})",
-        bounds,
-    )
-    by_cluster = {}
-    for x, e in zip(xs, entries):
-        by_cluster.setdefault(e.cluster, []).append((x, e.c_compressed))
-    for cl in sorted(by_cluster):
-        color = _COLORS[cl % len(_COLORS)]
-        parts.extend(_dots(by_cluster[cl], to_px, color, r=2.0))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def profile_svg(profile, title, spikes=None):
-    """Profile curve over initial-condition numbers, spikes marked."""
-    vals = list(profile)
-    xs = list(range(len(vals)))
-    to_px, bounds = _scale(xs, vals)
     parts = _frame(title, bounds)
-    parts.append(_polyline(list(zip(xs, vals)), to_px, _COLORS[0]))
-    if spikes:
-        pts = [(j, vals[j]) for j in spikes]
-        parts.extend(_dots(pts, to_px, _COLORS[1]))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def transition_svg(record):
-    """Transition sequence with its fitted line."""
-    xs = list(range(1, len(record.S_c) + 1))
-    ys = list(record.S_c)
-    intercept, slope = record.fit
-    fit_ys = [intercept + slope * x for x in xs]
-    to_px, bounds = _scale(xs, ys + fit_ys)
-    parts = _frame(
-        f"rule {record.rule.rule_number}: S_c and fit "
-        f"(C={format(record.C, '.4g')})",
-        bounds,
-    )
-    parts.append(
-        _polyline([(xs[0], fit_ys[0]), (xs[-1], fit_ys[-1])], to_px,
-                  _COLORS[1])
-    )
-    parts.extend(_dots(list(zip(xs, ys)), to_px, _COLORS[0]))
+    parts += [_polyline(pts, to_px, _COLORS[c]) for pts, c in lines]
+    for pts, c, r in dots:
+        parts += _dots(pts, to_px, _COLORS[c], r)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

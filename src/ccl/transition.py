@@ -34,9 +34,6 @@ class TransitionRecord:
     its fitted line, and the coefficient C (= fitted slope)."""
 
     rule: object
-    n: int
-    t_block: int
-    blocks: int
     S_c: tuple
     fit: tuple  # (intercept, slope)
 
@@ -52,11 +49,9 @@ class InterestingIcs:
     ``warning`` is set when the rule's transition coefficient does not
     clear the phase-transition threshold."""
 
-    rule: object
     ics: tuple
     profile: tuple
     coefficient: float
-    threshold: float
     warning: bool
 
 
@@ -154,8 +149,7 @@ def _records(rules, n, t_block, blocks, threads=None):
     if blocks < 2:
         raise ValueError("need at least two blocks to see a trend")
     seqs = _exponent_sequences(rules, n, t_block, blocks, threads)
-    return [TransitionRecord(rule, n, t_block, blocks, tuple(seq),
-                             least_squares_fit(seq))
+    return [TransitionRecord(rule, tuple(seq), least_squares_fit(seq))
             for rule, seq in zip(rules, seqs)]
 
 
@@ -207,7 +201,7 @@ def interesting_initial_conditions(rule, count=10, t=600, blocks=12, m=30,
 
     # Coefficient over the same sweep (conditions 1..m-1), reusing lengths.
     coeff = least_squares_fit(_exponents(per_ic[1:], t_block))[1]
-    return InterestingIcs(rule, ics, tuple(agg), coeff, threshold,
+    return InterestingIcs(ics, tuple(agg), coeff,
                           warning=not coeff > threshold)
 
 

@@ -3,20 +3,24 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl import (RuleSpec, classify_eca, coefficient_classification,
-                 complexity, interesting_initial_conditions, rank_rules,
-                 transition_record)
+from ccl import (CoefficientReport, RuleSpec, TransitionRecord,
+                 classify_eca, coefficient_classification, complexity,
+                 interesting_initial_conditions, least_squares_fit,
+                 rank_rules, transition_record)
 from ccl.cli import _PARAMS, main
+from ccl.svgplot import MARGIN, _fmt
 from oracles import two_level_clusters
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -115,6 +119,17 @@ def test_missing_output_dir_is_io_error(tmp_path):
     assert out.is_dir()
 
 
+def test_config_error_before_missing_output_dir(tmp_path, capsys):
+    """A bad config aimed at a missing ``--out`` is a config error, and no
+    directory is made."""
+    out = tmp_path / "missing"
+    assert main(["tm-search", "--states", "5", "--colors", "3",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ccl: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bad_rule_list_is_config_error(tmp_path):
     assert main(["classify", "--rules", "30,x", "--out", str(tmp_path)]) == 2
 
@@ -175,6 +190,7 @@ def test_unknown_config_key_rejected(tmp_path):
      "config file holds an integer with more digits than can be read"),
     ("classify", b"\xff{}", "config file is not UTF-8 text"),
     ("sample", {"seed": -5}, "seed must be >= 0"),
+    ("sample", {"kind": "ca"}, "kind must be CA or TM, not 'ca'"),
 ], ids=["steps-null", "steps-true", "steps-float", "colors-11-sampled",
         "threshold-null", "rules-item-null", "ic-item-null",
         "rules-item-float", "rules-item-true", "normalize-string",
@@ -183,7 +199,8 @@ def test_unknown_config_key_rejected(tmp_path):
         "threshold-infinity", "threshold-minus-infinity", "q-negative",
         "rules-repeated", "classify-colors-11", "profile-colors-11",
         "transition-colors-11", "classify-colors-300",
-        "rules-item-5001-digits", "config-not-utf-8", "seed-negative"])
+        "rules-item-5001-digits", "config-not-utf-8", "seed-negative",
+        "sample-kind-lowercase"])
 def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys,
                                                 evolutions, command, config,
                                                 message):
@@ -588,6 +605,27 @@ def test_transition_single_rule_outputs(tmp_path):
         coeff_doc,
         json.loads((SCHEMAS / "coefficients.schema.json").read_text()),
     )
+
+
+# Adding 0.0 turns -0.0 into 0.0: the two tie, and which one ``min``
+# returns depends on the order it sees them in.
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300).map(lambda v: v + 0.0),
+                min_size=2, max_size=12))
+def test_transition_plot_spans_the_fit_at_every_x(S_c):
+    """The y-axis labels of a transition plot are the least and the greatest
+    of S_c and of the fitted line at every x, whichever way the line runs."""
+    intercept, slope = fit = least_squares_fit(S_c)
+    report = CoefficientReport(
+        (TransitionRecord(RuleSpec.eca(22), tuple(S_c), fit),), (0,))
+    ys = [*S_c, *(intercept + slope * x for x in range(1, len(S_c) + 1))]
+    with tempfile.TemporaryDirectory() as out, mock.patch(
+            "ccl.cli.coefficient_classification", return_value=report):
+        assert main(["transition", "--rules", "22", "--top", "0",
+                     "--out", out]) == 0
+        svg = Path(out, "profile-22.svg").read_text()
+    labels = re.findall(f'<text x="{MARGIN - 4}" [^>]*>([^<]*)</text>', svg)
+    assert labels == [_fmt(min(ys)), _fmt(max(ys))]
 
 
 def test_profile_command_outputs(tmp_path):
