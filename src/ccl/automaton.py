@@ -7,6 +7,14 @@ evolution on an unbounded tape.  Cells outside the window hold a uniform
 background value that itself follows the rule (the image of the all-same
 neighborhood), which keeps odd rules -- those that map the all-zero
 neighborhood to a nonzero color -- free of artificial boundary wedges.
+
+Both kernels stop stepping at the first row that repeats an earlier one up
+to a shift, and copy the rest.  This is exact: every cell follows the same
+rule, so if row j is row i moved s cells on the same background, row j+n
+is row i+n moved s on an unbounded tape, and the backgrounds, following the
+rule from the same value, agree as well.  The light cone keeps every
+non-background cell inside the window, so a moved row is filled with its
+own background.
 """
 
 from dataclasses import dataclass
@@ -86,7 +94,7 @@ class SpaceTimeDiagram:
     state after j steps."""
 
     width: int
-    cells: np.ndarray  # shape (rows, width), dtype uint8
+    cells: np.ndarray  # (rows, width) uint8; read-only from evolve_ca
 
     def __post_init__(self):
         if self.cells.ndim != 2 or self.cells.shape[1] != self.width:
@@ -105,34 +113,38 @@ class SpaceTimeDiagram:
 
 
 def _rule_table(rule):
-    """Base-k digits of the rule number, entry n giving the image of the
+    """Base-k digits of the rule number, byte n giving the image of the
     neighborhood whose base-k index is n."""
-    table = np.zeros(rule.colors ** 3, dtype=np.uint8)
+    table = bytearray(rule.colors ** 3)
     n, i = rule.rule_number, 0
     while n:  # only the digits the number has; the rest stay 0
         n, table[i] = divmod(n, rule.colors)
         i += 1
-    return table
+    return bytes(table)
 
 
-def _evolve_lookup(rule, init, steps, width):
-    """Table-lookup evolution for any k; one numpy pass per step."""
-    k = rule.colors
-    table = _rule_table(rule)
-    out = np.zeros((steps + 1, width), dtype=np.uint8)
-    off = (width - len(init)) // 2
-    out[0, off : off + len(init)] = init
-    bg = 0
-    row = out[0].astype(np.int64)
-    padded = np.empty(width + 2, dtype=np.int64)
+def _evolve(row, steps, step, key, shift):
+    """Rows 0..steps of an evolution from ``row`` on background 0.
+
+    ``step(row, bg)`` gives the next row and its background, ``key(row,
+    bg)`` the row with its background removed and moved to offset 0 plus
+    that offset, and ``shift(row, s, bg)`` the row moved s cells right,
+    filled with ``bg``.  Once row j equals an earlier row i moved by s on
+    the same background, each later row m is row m-(j-i) moved by s.
+    """
+    rows, bgs, seen = [row], [0], {}
     for j in range(steps):
-        padded[0] = padded[-1] = bg
-        padded[1:-1] = row
-        idx = padded[:-2] * (k * k) + padded[1:-1] * k + padded[2:]
-        row = table[idx].astype(np.int64)
-        out[j + 1] = row
-        bg = int(table[bg * (k * k + k + 1)])
-    return out
+        body, offset = key(row, bgs[j])
+        i, start = seen.setdefault((bgs[j], body), (j, offset))
+        if i < j:  # row m + (j - i) is row m moved, on row m's background
+            for m in range(i + 1, steps + 1 - (j - i)):
+                bgs.append(bgs[m])
+                rows.append(shift(rows[m], offset - start, bgs[m]))
+            break
+        row, bg = step(row, bgs[j])
+        rows.append(row)
+        bgs.append(bg)
+    return rows
 
 
 def _evolve_bits(rule_number, init, steps, width):
@@ -148,26 +160,32 @@ def _evolve_bits(rule_number, init, steps, width):
         if c:
             x |= 1 << (off + i)
     mask = (1 << width) - 1
-    outs = [(rule_number >> p) & 1 for p in range(8)]
-    rows = [x]
-    bg = 0
-    for _ in range(steps):
+    terms = [((p >> 2) & 1, (p >> 1) & 1, p & 1)
+             for p in range(8) if (rule_number >> p) & 1]
+
+    def step(x, bg):
         left = ((x << 1) & mask) | bg
         right = (x >> 1) | (bg << (width - 1))
         y = 0
-        for p in range(8):
-            if outs[p]:
-                l, c, r = (p >> 2) & 1, (p >> 1) & 1, p & 1
-                term = (
-                    (left if l else ~left)
-                    & (x if c else ~x)
-                    & (right if r else ~right)
-                )
-                y |= term
-        x = y & mask
-        bg = outs[7] if bg else outs[0]
-        rows.append(x)
-    return rows
+        for l, c, r in terms:
+            y |= (
+                (left if l else ~left)
+                & (x if c else ~x)
+                & (right if r else ~right)
+            )
+        return y & mask, (rule_number >> (7 if bg else 0)) & 1
+
+    def key(x, bg):
+        y = x ^ mask if bg else x
+        zeros = max((y & -y).bit_length() - 1, 0)  # 0 for the empty row
+        return y >> zeros, zeros
+
+    def shift(x, s, bg):
+        flip = mask if bg else 0
+        y = x ^ flip
+        return ((y << s if s >= 0 else y >> -s) ^ flip) & mask
+
+    return _evolve(x, steps, step, key, shift)
 
 
 def _bits_to_cells(rows, width):
@@ -177,6 +195,50 @@ def _bits_to_cells(rows, width):
         b"".join(x.to_bytes(nbytes, "little") for x in rows), dtype=np.uint8
     ).reshape(len(rows), nbytes)
     return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def _evolve_bytes(rule, init, steps, width):
+    """Evolution for any k > 2 on ``bytes`` rows, one cell per byte.
+
+    For k <= 6 a step reads the row and its two one-cell shifts as
+    big-endian integers L, C and R; k*k*L + k*C + R holds each cell's
+    neighborhood index in its own byte, as k**3 <= 256 leaves no carries,
+    and one ``translate`` maps the indices to images.  Larger k index the
+    table with numpy.  Returns the list of rows.
+    """
+    k = rule.colors
+    table = _rule_table(rule)
+    off = (width - len(init)) // 2
+    row = bytes(off) + bytes(init) + bytes(width - off - len(init))
+    if k ** 3 <= 256:
+        images = table.ljust(256, b"\0")
+        mask, top = (1 << 8 * width) - 1, 8 * (width - 1)
+
+        def cells(row, bg):
+            c = int.from_bytes(row, "big")
+            l, r = (c >> 8) | (bg << top), ((c << 8) & mask) | bg
+            return (k * k * l + k * c + r).to_bytes(width, "big").translate(
+                images)
+    else:
+        images = np.frombuffer(table, dtype=np.uint8)
+
+        def cells(row, bg):
+            edge = bytes((bg,))
+            a = np.frombuffer(edge + row + edge, np.uint8).astype(np.intp)
+            return images[(a[:-2] * k + a[1:-1]) * k + a[2:]].tobytes()
+
+    def step(row, bg):
+        return cells(row, bg), table[bg * (k * k + k + 1)]
+
+    def key(row, bg):
+        lead = row.lstrip(bytes((bg,)))
+        return lead.rstrip(bytes((bg,))), width - len(lead)
+
+    def shift(row, s, bg):
+        fill = bytes((bg,)) * abs(s)
+        return fill + row[:width - s] if s >= 0 else row[-s:] + fill
+
+    return _evolve(row, steps, step, key, shift)
 
 
 def evolve_ca(rule, init, steps, width=None):
@@ -212,7 +274,10 @@ def evolve_ca(rule, init, steps, width=None):
             _evolve_bits(rule.rule_number, cells, steps, width), width
         )
     else:
-        grid = _evolve_lookup(rule, cells, steps, width)
+        grid = np.frombuffer(
+            b"".join(_evolve_bytes(rule, cells, steps, width)), dtype=np.uint8
+        ).reshape(steps + 1, width)
+    grid.flags.writeable = False  # read-only for every color class
     return SpaceTimeDiagram(width, grid)
 
 
