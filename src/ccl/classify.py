@@ -39,7 +39,7 @@ def rank_rules(rules, init, steps, threads=None, split_levels=1):
     splits the high cluster again, giving ids 0 (low), 1 and 2 (highest).
 
     The lengths are the grid of one initial condition and one block of
-    ``steps``, whose cells come back in input order, so worker threads
+    ``steps``, whose cells come back in input order, so worker processes
     never change the report.
     """
     if split_levels not in (1, 2):

@@ -5,7 +5,7 @@ and/or a JSON config file.
 Each subcommand renders plain report dicts through the one CSV and the one
 JSON renderer, and one writer lands the texts, with manifest.json (exact
 parameters and compressor pin) last; rerunning with the same config and seed
-reproduces every output byte regardless of thread count.  Exit codes: 0
+reproduces every output byte regardless of worker count.  Exit codes: 0
 success, 2 invalid configuration, 3 I/O failure.
 """
 
@@ -182,7 +182,7 @@ def _resolve_threads(flag_value):
     if value is None:
         return 1
     if value < 1:
-        raise ConfigError("thread count must be >= 1")
+        raise ConfigError("worker count must be >= 1")
     return value
 
 
@@ -410,7 +410,7 @@ def _build_parser():
                         help="create the output directory if missing")
     _add_flags(common, _SEED)
     common.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads (or env CCL_THREADS; default 1)")
+                        help="worker processes (or env CCL_THREADS; default 1)")
 
     parser = argparse.ArgumentParser(
         prog="ccl",

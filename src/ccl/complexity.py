@@ -8,9 +8,9 @@ byte encoding, one raw-DEFLATE parameter set, lengths in bytes.
 
 import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -100,14 +100,39 @@ def encode_sequence(values):
     return raw.translate(_ASCII) + b"\n"
 
 
-def _parallel_map(fn, items, threads):
-    """``[fn(x) for x in items]`` on up to ``threads`` worker threads, never
-    more than there are CPUs or items; results keep the input order."""
-    workers = min(threads or 1, os.cpu_count() or 1, len(items))
+# Encoded bytes below which a grid runs serially: the break-even of a
+# worker pool.  On a 2-vCPU host, starting and stopping a fork pool of 2
+# workers cost 11-15 ms (a 2-cell grid took 0.2-0.3 ms serially and
+# 11.6-14.5 ms through the pool), and grids ran at 66-82 MB/s serially,
+# so 2 workers save about that much on a grid of 2 MB.
+_POOL_MIN_BYTES = 2_000_000
+
+
+def _parallel_map(fn, items, workers):
+    """``[fn(x) for x in items]`` on up to ``workers`` forked worker
+    processes, never more than there are CPUs or items; results keep the
+    input order, and a worker's exception is raised here.  ``fn`` must be
+    picklable.  Runs serially where ``fork`` is unavailable or a pool
+    cannot start."""
+    workers = min(workers or 1, os.cpu_count() or 1, len(items))
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+        import multiprocessing  # 15-22 ms with its pool; only a pool needs it
+        try:
+            pool = multiprocessing.get_context("fork").Pool(workers)
+        except (ValueError, OSError):
+            pass
+        else:
+            with pool:
+                return pool.map(fn, items,
+                                chunksize=-(-len(items) // (4 * workers)))
     return [fn(x) for x in items]
+
+
+def _cell(steps, width, ends, job):
+    """One grid cell: the prefix lengths of one (rule, IC) evolution."""
+    rule, ic = job
+    return prefix_compressed_lengths(
+        encode_diagram(evolve_ca(rule, ic, steps, width=width)), ends)
 
 
 def _grid(rules, ics, t_block, blocks, threads=None):
@@ -117,8 +142,10 @@ def _grid(rules, ics, t_block, blocks, threads=None):
 
     All cells share one window, sized for the longest condition and the
     full runtime; each evolution is compressed once and read off at its
-    block row boundaries.  Cells map rule-major over worker threads.  A rule
-    with more than 10 colors is refused before anything is evolved.
+    block row boundaries.  Cells map rule-major over ``threads`` worker
+    processes, or serially when the grid encodes fewer than
+    ``_POOL_MIN_BYTES``.  A rule with more than 10 colors is refused before
+    anything is evolved.
     """
     for rule in rules:
         if rule.colors > 10:
@@ -127,13 +154,10 @@ def _grid(rules, ics, t_block, blocks, threads=None):
     steps = t_block * blocks
     width = max(map(len, ics)) + 2 * (steps + 1)
     ends = [(width + 1) * (b * t_block + 1) for b in range(1, blocks + 1)]
-
-    def cell(job):
-        rule, ic = job
-        return prefix_compressed_lengths(
-            encode_diagram(evolve_ca(rule, ic, steps, width=width)), ends)
-
-    flat = _parallel_map(cell, [(r, ic) for r in rules for ic in ics], threads)
+    jobs = [(r, ic) for r in rules for ic in ics]
+    if len(jobs) * ends[-1] < _POOL_MIN_BYTES:
+        threads = 1
+    flat = _parallel_map(partial(_cell, steps, width, ends), jobs, threads)
     return [flat[i:i + len(ics)] for i in range(0, len(flat), len(ics))]
 
 

@@ -1,5 +1,8 @@
+import multiprocessing
+
 import pytest
 
+import ccl.complexity
 from ccl import classify_eca
 
 
@@ -8,3 +11,51 @@ def eca_report_200():
     """Full 256-rule classification at t=200, shared by the tests that read
     cluster memberships and orderings off it."""
     return classify_eca(200, threads=4)
+
+
+@pytest.fixture
+def pool_path(monkeypatch):
+    """Every grid of more than one cell goes through a pool of up to 2
+    worker processes, however few bytes it encodes and however few CPUs
+    there are.  Returns the start methods the pools ask for."""
+    monkeypatch.setattr(ccl.complexity, "_POOL_MIN_BYTES", 0)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    methods = []
+    get_context = multiprocessing.get_context
+
+    def recording(method):
+        methods.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr("multiprocessing.get_context", recording)
+    return methods
+
+
+class RecordingContext:
+    """Stand-in for the ``fork`` context that records the worker count of
+    each pool and maps in this process, so no process is started."""
+
+    def __init__(self, processes):
+        self.processes = processes
+
+    def Pool(self, processes):
+        self.processes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize):
+        return list(map(fn, items))
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """The worker count of each pool asked for; none is started."""
+    processes = []
+    monkeypatch.setattr("multiprocessing.get_context",
+                        lambda method: RecordingContext(processes))
+    return processes

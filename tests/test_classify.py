@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import ccl.complexity
 from ccl import (CA, COMPRESSOR, TM, RuleSpec, ca_complexity, classify_eca,
                  cluster_1d, encode_diagram, evolve_ca, rank_rules,
                  sample_rule_space)
@@ -97,6 +97,16 @@ class TestRankRules:
         serial = rank_rules(rules, (1,), 60, threads=1)
         threaded = rank_rules(rules, (1,), 60, threads=4)
         assert serial == threaded
+
+    def test_worker_error_reaches_the_caller(self, pool_path):
+        rules = [RuleSpec.eca(n) for n in (30, 90, 110)]
+        with pytest.raises(ValueError) as serial:
+            rank_rules(rules, (2,), 20, threads=1)
+        with pytest.raises(ValueError) as pooled:
+            rank_rules(rules, (2,), 20, threads=2)
+        assert pool_path == ["fork"]
+        assert str(pooled.value) == str(serial.value)
+        assert multiprocessing.active_children() == []
 
     # At t=20 rules 4 and 12 have equal lengths, so there is no cluster 1;
     # rules 30 and 89 share the high cluster at one length above rule 4's.
@@ -216,41 +226,17 @@ class TestSampleRuleSpace:
         assert all(step > 0 for step in fit)
 
 
-class RecordingExecutor:
-    """Stand-in for ThreadPoolExecutor that records ``max_workers`` and maps
-    in the calling thread, so no thread is started."""
-
-    max_workers = []
-
-    def __init__(self, max_workers):
-        self.max_workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 class TestParallelMap:
     # An unknown CPU count means one worker, which builds no pool at all.
     @pytest.mark.parametrize("cpus, pools", [(64, [3]), (2, [2]), (None, [])])
-    def test_workers_capped_by_cpus_and_items(self, monkeypatch, cpus, pools):
-        monkeypatch.setattr(ccl.complexity, "ThreadPoolExecutor",
-                            RecordingExecutor)
+    def test_workers_capped_by_cpus_and_items(self, monkeypatch,
+                                              recorded_pools, cpus, pools):
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
-        monkeypatch.setattr(RecordingExecutor, "max_workers", [])
-        out = _parallel_map(lambda x: x * x, [3, 1, 2], threads=10 ** 6)
+        out = _parallel_map(lambda x: x * x, [3, 1, 2], 10 ** 6)
         assert out == [9, 1, 4]
-        assert RecordingExecutor.max_workers == pools
+        assert recorded_pools == pools
 
     @pytest.mark.parametrize("threads", [None, 1])
-    def test_one_thread_builds_no_pool(self, monkeypatch, threads):
-        monkeypatch.setattr(ccl.complexity, "ThreadPoolExecutor",
-                            RecordingExecutor)
-        monkeypatch.setattr(RecordingExecutor, "max_workers", [])
+    def test_one_thread_builds_no_pool(self, recorded_pools, threads):
         assert _parallel_map(str, range(4), threads) == ["0", "1", "2", "3"]
-        assert RecordingExecutor.max_workers == []
+        assert recorded_pools == []

@@ -2,6 +2,7 @@ import contextlib
 import inspect
 import io
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -568,6 +569,22 @@ def test_outputs_identical_across_thread_counts(tmp_path):
     assert main(args + ["--out", str(a), "--create", "--threads", "1"]) == 0
     assert main(args + ["--out", str(b), "--create", "--threads", "4"]) == 0
     assert read_tree(a) == read_tree(b)
+
+
+def test_worker_error_is_one_config_error(tmp_path, capfd, pool_path):
+    # IC (2,) is refused inside each worker, by the first cell it evolves.
+    config = tmp_path / "ic.json"
+    config.write_text('{"ic": [2]}')
+    errors = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["classify", "--config", str(config), "--out", str(out),
+                     "--create", "--threads", threads]) == 2
+        errors.append(capfd.readouterr().err)
+        assert not out.exists()
+    assert pool_path == ["fork"]
+    assert errors == ["ccl: cell values must be integers in [0, 2)\n"] * 2
+    assert multiprocessing.active_children() == []
 
 
 def test_threads_from_environment(tmp_path, monkeypatch):

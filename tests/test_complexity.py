@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 import zlib
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ccl.complexity
 from ccl import automaton
 from ccl import (COMPRESSOR, RuleSpec, SpaceTimeDiagram, ca_complexity,
                  compressed_length, deflate, encode_diagram, encode_sequence,
@@ -213,6 +215,42 @@ class TestGrid:
         monkeypatch.setattr("ccl.complexity.evolve_ca", evolve)
         with pytest.raises(ValueError, match="at most 10 colors"):
             _grid([RuleSpec.eca(30), RuleSpec.ca(11, 0)], [(1,)], 5, 1)
+
+
+# Three 2-color rules and one 3-color rule, two conditions, three blocks.
+POOL_CASE = ([RuleSpec.eca(n) for n in (30, 90, 110)]
+             + [RuleSpec.ca(3, 7_000_000_000)], [(1,), (1, 0, 1)], 10, 3)
+
+
+class TestGridPool:
+    def test_pool_gives_the_serial_tables(self, pool_path):
+        serial = _grid(*POOL_CASE, 1)
+        assert pool_path == []
+        assert _grid(*POOL_CASE, 2) == serial
+        assert pool_path == ["fork"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [ValueError, OSError])
+    def test_serial_where_no_pool_starts(self, pool_path, monkeypatch,
+                                         error):
+        serial = _grid(*POOL_CASE, 1)
+
+        def unavailable(method):
+            raise error(f"no {method} here")
+
+        monkeypatch.setattr("multiprocessing.get_context", unavailable)
+        assert _grid(*POOL_CASE, 2) == serial
+
+    # A one-cell condition run for 10 steps encodes (23 + 1) * 11 bytes.
+    @pytest.mark.parametrize("cells, least, pools", [
+        (2, 2 * 264 + 1, []), (2, 2 * 264, [2]), (3, 2 * 264 + 1, [2])])
+    def test_grids_below_break_even_run_serially(
+            self, monkeypatch, recorded_pools, cells, least, pools):
+        monkeypatch.setattr(ccl.complexity, "_POOL_MIN_BYTES", least)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        rules = [RuleSpec.eca(n) for n in (30, 90, 110)[:cells]]
+        assert _grid(rules, [(1,)], 10, 1, 2) == _grid(rules, [(1,)], 10, 1)
+        assert recorded_pools == pools
 
 
 class TestCaComplexity:
