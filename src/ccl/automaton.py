@@ -322,6 +322,15 @@ def reached_states_sequence(rule, steps):
     the first occurrence of each state in :func:`state_sequence`, so the
     run stops once every state has occurred.
     """
+    out = []
+    for count, end in enumerate([*_first_visits(rule, steps), steps + 1]):
+        out += [count] * (end - len(out))
+    return out
+
+
+def _first_visits(rule, steps):
+    """The step at which ``rule`` first visits each state in 0..steps,
+    from the blank tape; for one ``steps`` they fix the reached sequence."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     firsts = {}
@@ -329,10 +338,7 @@ def reached_states_sequence(rule, steps):
         firsts.setdefault(state, step)
         if len(firsts) == rule.states:
             break
-    out = []
-    for count, end in enumerate([*firsts.values(), steps + 1]):
-        out += [count] * (end - len(out))
-    return out
+    return tuple(firsts.values())
 
 
 def state_sequence(rule, steps):

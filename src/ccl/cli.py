@@ -18,7 +18,7 @@ import sys
 from . import __version__
 from .automaton import CA, TM, RuleSpec
 from .classify import rank_rules, sample_rule_space
-from .complexity import COMPRESSOR, tm_complexity
+from .complexity import COMPRESSOR, _tm_complexities
 from .svgplot import plot_svg
 from .transition import (_scan_block, coefficient_classification,
                          detect_spikes, ic_profile,
@@ -349,7 +349,7 @@ def cmd_tm_search(cfg, threads):
         specs = sample_rule_space(TM, colors, states, cfg["sample_size"],
                                   cfg["seed"])
     ranked = sorted(
-        ((r, tm_complexity(r, cfg["steps"])) for r in specs),
+        zip(specs, _tm_complexities(specs, cfg["steps"])),
         key=lambda p: (-p[1].compressed_length, p[0].rule_number),
     )[: cfg["top"]]
     entries = [{"rule": r.rule_number, "states": r.states,

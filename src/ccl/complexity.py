@@ -14,7 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .automaton import evolve_ca, reached_states_sequence, state_sequence
+from .automaton import (_first_visits, evolve_ca, reached_states_sequence,
+                        state_sequence)
 
 # The pinned raw-DEFLATE (RFC 1951) parameters: a negative window_bits
 # selects a headerless stream.  All shipped reference results were produced
@@ -31,7 +32,10 @@ _ASCII = bytes.maketrans(_DIGITS, b"0123456789")
 class ComplexityEstimate:
     raw_length: int
     compressed_length: int
-    ratio: Fraction
+
+    @property
+    def ratio(self):
+        return Fraction(self.compressed_length, self.raw_length)
 
 
 def _compressobj():
@@ -173,7 +177,19 @@ def ca_complexity(rule, init, steps):
     init = tuple(init)
     [[[comp]]] = _grid([rule], [init], steps, 1)
     raw = _raw_length(init, steps)
-    return ComplexityEstimate(raw, comp, Fraction(comp, raw))
+    return ComplexityEstimate(raw, comp)
+
+
+def _tm_runner(sequence, rules):
+    """The runner of the ``sequence`` measure; a machine in ``rules`` with
+    more states than the measure has digits for is refused first."""
+    run, most = {"reached": (reached_states_sequence, 9),
+                 "states": (state_sequence, 10)}.get(sequence, (None, 0))
+    if run is None:
+        raise ValueError("sequence must be 'reached' or 'states'")
+    if max((r.states for r in rules), default=0) > most:
+        raise ValueError(f"the {sequence} measure takes at most {most} states")
+    return run
 
 
 def tm_complexity(rule, steps, sequence="reached"):
@@ -182,14 +198,19 @@ def tm_complexity(rule, steps, sequence="reached"):
     ``"states"`` the raw state at each step.  A machine with more states
     than the measure has digits for is refused before it is run.
     """
-    if sequence == "reached":
-        run, most = reached_states_sequence, 9
-    elif sequence == "states":
-        run, most = state_sequence, 10
-    else:
-        raise ValueError("sequence must be 'reached' or 'states'")
-    if rule.states > most:
-        raise ValueError(f"the {sequence} measure takes at most {most} states")
-    data = encode_sequence(run(rule, steps))
-    comp = compressed_length(data)
-    return ComplexityEstimate(len(data), comp, Fraction(comp, len(data)))
+    data = encode_sequence(_tm_runner(sequence, [rule])(rule, steps))
+    return ComplexityEstimate(len(data), compressed_length(data))
+
+
+def _tm_complexities(rules, steps, sequence="reached"):
+    """``[tm_complexity(r, steps, sequence) for r in rules]`` with each key
+    measured once in this call: its first-visit steps fix a machine's
+    ``"reached"`` sequence; ``"states"`` keys on the machine itself."""
+    _tm_runner(sequence, rules)
+    memo, out = {}, []
+    for rule in rules:
+        key = _first_visits(rule, steps) if sequence == "reached" else rule
+        if key not in memo:
+            memo[key] = tm_complexity(rule, steps, sequence)
+        out.append(memo[key])
+    return out

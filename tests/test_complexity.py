@@ -2,6 +2,7 @@ import multiprocessing
 import random
 import zlib
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 
 import ccl.complexity
 from ccl import automaton
-from ccl import (COMPRESSOR, RuleSpec, SpaceTimeDiagram, ca_complexity,
-                 compressed_length, deflate, encode_diagram, encode_sequence,
-                 evolve_ca, prefix_compressed_lengths, tm_complexity)
-from ccl.complexity import _grid
+from ccl import (COMPRESSOR, ComplexityEstimate, RuleSpec, SpaceTimeDiagram,
+                 ca_complexity, compressed_length, deflate, encode_diagram,
+                 encode_sequence, evolve_ca, prefix_compressed_lengths,
+                 tm_complexity)
+from ccl.cli import main
+from ccl.complexity import _grid, _tm_complexities
 from rfc1951 import inflate
-from test_automaton import action, tm_rule_from_digits
+from test_automaton import action, oracle_states, tm_rule_from_digits
 
 
 def raw_deflate(data, level):
@@ -351,6 +354,12 @@ class TestTmComplexity:
             with pytest.raises(ValueError,
                                match=f"takes at most {states - 1} states"):
                 tm_complexity(rule, 200, sequence)
+        # A batch is refused whole before its first machine runs.
+        batch = [RuleSpec.tm(2, 2, 0), counter_machine(3),
+                 counter_machine(states)]
+        with pytest.raises(ValueError,
+                           match=f"takes at most {states - 1} states"):
+            _tm_complexities(batch, 200, sequence)
 
     def test_ten_states_fit_the_raw_state_measure(self):
         est = tm_complexity(counter_machine(10), 200, sequence="states")
@@ -360,6 +369,94 @@ class TestTmComplexity:
     def test_unknown_sequence_kind_rejected(self):
         with pytest.raises(ValueError):
             tm_complexity(RuleSpec.tm(2, 3, 0), 5, sequence="tape")
+
+
+def oracle_sequence(rule, steps, sequence):
+    """The ``sequence`` measure of ``rule``, by the stepping oracle."""
+    visited = oracle_states(rule, steps)
+    if sequence == "states":
+        return visited
+    return [len(set(visited[: j + 1])) for j in range(steps + 1)]
+
+
+def measured_batch(machines, steps, sequence):
+    """``_tm_complexities`` of ``machines`` and the machines it passed to
+    ``tm_complexity``, in call order."""
+    measured = []
+
+    def recording(rule, steps, sequence="reached"):
+        measured.append(rule)
+        return tm_complexity(rule, steps, sequence)
+
+    with mock.patch.object(ccl.complexity, "tm_complexity", recording):
+        got = _tm_complexities(machines, steps, sequence)
+    return got, measured
+
+
+@st.composite
+def tm_machines(draw):
+    """A few machines of 1-4 states and 2-3 colors, drawn with repeats."""
+    def machine():
+        states, colors = draw(st.integers(1, 4)), draw(st.integers(2, 3))
+        space = (2 * states * colors) ** (states * colors)
+        return RuleSpec.tm(states, colors, draw(st.integers(0, space - 1)))
+
+    pool = [machine() for _ in range(draw(st.integers(1, 6)))]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+
+
+class TestTmComplexities:
+    """The search's batch measure: one ``tm_complexity`` call per distinct
+    sequence ("reached") or machine ("states"), same estimates as one call
+    per machine."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tm_machines(), st.integers(0, 60),
+           st.sampled_from(["reached", "states"]))
+    def test_matches_one_measurement_per_machine(self, machines, steps,
+                                                 sequence):
+        got, measured = measured_batch(machines, steps, sequence)
+        assert got == [tm_complexity(r, steps, sequence) for r in machines]
+        seqs = [oracle_sequence(r, steps, sequence) for r in machines]
+        assert got == [ComplexityEstimate(len(d), compressed_length(d))
+                       for d in map(encode_sequence, seqs)]
+        # Each key is measured exactly once: the sequence for "reached",
+        # the machine for "states".
+        key = {r: tuple(seq) if sequence == "reached" else r
+               for r, seq in zip(machines, seqs)}
+        keys = [key[r] for r in measured]
+        assert len(keys) == len(set(keys)) and set(keys) == set(key.values())
+
+    def test_each_distinct_reached_sequence_is_measured(self):
+        # First visits (0, 1, 3) and (0, 1, 2, 3): the same last first
+        # visit and the same estimate, but two sequences.
+        three = tm_rule_from_digits(
+            [action(1, 1, +1, 2), 0, action(1, 0, -1, 2),
+             action(2, 0, +1, 2), 0, 0], states=3, colors=2)
+        machines = [three, counter_machine(4), three]
+        got, measured = measured_batch(machines, 10, "reached")
+        assert measured == [three, counter_machine(4)]
+        assert got == [tm_complexity(r, 10) for r in machines]
+
+    def test_memo_lives_for_one_call(self):
+        machines = [RuleSpec.tm(2, 3, 0), counter_machine(2),
+                    RuleSpec.tm(2, 3, 0)]
+        for steps in (10, 20, 10):
+            got, measured = measured_batch(machines, steps, "reached")
+            assert got == [tm_complexity(r, steps) for r in machines]
+            assert measured == machines[:2]
+
+    def test_default_search_compresses_two_sequences(self, monkeypatch,
+                                                     tmp_path):
+        lengths = []
+
+        def counting(data):
+            lengths.append(len(data))
+            return compressed_length(data)
+
+        monkeypatch.setattr(ccl.complexity, "compressed_length", counting)
+        assert main(["tm-search", "--seed", "0", "--out", str(tmp_path)]) == 0
+        assert lengths == [202, 202]  # 201 steps and the row end
 
 
 class TestCompressorConfig:
