@@ -20,8 +20,6 @@ own background.
 from dataclasses import dataclass
 from itertools import islice
 
-import numpy as np
-
 CA = "CA"
 TM = "TM"
 
@@ -94,7 +92,7 @@ class SpaceTimeDiagram:
     state after j steps."""
 
     width: int
-    cells: np.ndarray  # (rows, width) uint8; read-only from evolve_ca
+    cells: "numpy.ndarray"  # (rows, width) uint8; read-only from evolve_ca
 
     def __post_init__(self):
         if self.cells.ndim != 2 or self.cells.shape[1] != self.width:
@@ -107,9 +105,8 @@ class SpaceTimeDiagram:
     def __eq__(self, other):
         if not isinstance(other, SpaceTimeDiagram):
             return NotImplemented
-        return self.width == other.width and np.array_equal(
-            self.cells, other.cells
-        )
+        a, b = self.cells, other.cells  # the shape holds the width
+        return a.shape == b.shape and bool((a == b).all())
 
 
 def _rule_table(rule):
@@ -190,6 +187,7 @@ def _evolve_bits(rule_number, init, steps, width):
 
 def _bits_to_cells(rows, width):
     """Cell array of row integers (bit i = cell i), one row per integer."""
+    import numpy as np  # 80-100 ms; only a run that builds an array needs it
     nbytes = (width + 7) // 8
     packed = np.frombuffer(
         b"".join(x.to_bytes(nbytes, "little") for x in rows), dtype=np.uint8
@@ -220,6 +218,7 @@ def _evolve_bytes(rule, init, steps, width):
             return (k * k * l + k * c + r).to_bytes(width, "big").translate(
                 images)
     else:
+        import numpy as np
         images = np.frombuffer(table, dtype=np.uint8)
 
         def cells(row, bg):
@@ -274,9 +273,9 @@ def evolve_ca(rule, init, steps, width=None):
             _evolve_bits(rule.rule_number, cells, steps, width), width
         )
     else:
-        grid = np.frombuffer(
-            b"".join(_evolve_bytes(rule, cells, steps, width)), dtype=np.uint8
-        ).reshape(steps + 1, width)
+        import numpy as np
+        rows = b"".join(_evolve_bytes(rule, cells, steps, width))
+        grid = np.frombuffer(rows, np.uint8).reshape(steps + 1, width)
     grid.flags.writeable = False  # read-only for every color class
     return SpaceTimeDiagram(width, grid)
 

@@ -188,22 +188,24 @@ def _resolve_threads(flag_value):
 
 def _write(outdir, files, create):
     """Land ``files`` (name -> text) in ``outdir``, created if missing and
-    ``create`` is set, in order, each written to a temporary name and then
-    renamed into place."""
+    ``create`` is set, all or nothing: a directory in the way is refused, and
+    every text goes to a temporary name before any is renamed, in order."""
     if create:
         os.makedirs(outdir, exist_ok=True)
     elif not os.path.isdir(outdir):
         raise OSError(f"output directory does not exist: {outdir}")
-    for name, text in files.items():
-        path = os.path.join(outdir, name)
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+    paths = [os.path.join(outdir, name) for name in files]
+    for path in filter(os.path.isdir, paths):
+        raise IsADirectoryError(f"output path is a directory: {path}")
+    try:
+        for path, text in zip(paths, files.values()):
+            with open(path + ".tmp", "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-            os.replace(tmp, path)
-        finally:
-            if os.path.lexists(tmp):
-                os.remove(tmp)
+        for path in paths:
+            os.replace(path + ".tmp", path)
+    finally:
+        for tmp in filter(os.path.lexists, [p + ".tmp" for p in paths]):
+            os.remove(tmp)
 
 
 def _csv(columns, rows):

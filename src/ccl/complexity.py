@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-import numpy as np
-
 from .automaton import (_first_visits, evolve_ca, reached_states_sequence,
                         state_sequence)
 
@@ -86,6 +84,7 @@ def encode_diagram(diagram):
     cells = diagram.cells
     if cells.size and cells.max() > 9:
         raise ValueError("canonical encoding supports cell values 0..9 only")
+    import numpy as np
     out = np.empty((cells.shape[0], cells.shape[1] + 1), dtype=np.uint8)
     out[:, :-1] = cells + ord("0")
     out[:, -1] = ord("\n")
@@ -161,6 +160,9 @@ def _grid(rules, ics, t_block, blocks, threads=None):
     jobs = [(r, ic) for r in rules for ic in ics]
     if len(jobs) * ends[-1] < _POOL_MIN_BYTES:
         threads = 1
+    import numpy  # every cell needs it; loaded here, forked workers inherit it
+    # Freeing 1 MiB lifts glibc's heap trim threshold: cells reuse the heap.
+    numpy.empty(1 << 20, numpy.uint8)
     flat = _parallel_map(partial(_cell, steps, width, ends), jobs, threads)
     return [flat[i:i + len(ics)] for i in range(0, len(flat), len(ics))]
 

@@ -373,8 +373,17 @@ def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("ccl: ") and err.count("\n") == 1
-    assert {p.name for p in tmp_path.iterdir()} == {
-        "classification.csv", "classification.json", "ranking.svg"}
+    assert [p.name for p in tmp_path.iterdir()] == ["ranking.svg"]
+
+
+def test_failed_temporary_write_lands_no_file(tmp_path, capsys):
+    # The last temporary file cannot be opened, so no earlier one is renamed.
+    (tmp_path / "manifest.json.tmp").mkdir()
+    assert main(["classify", "--rules", "30", "--steps", "10",
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ccl: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json.tmp"]
 
 
 def test_manifest_is_written_last(tmp_path, monkeypatch):
@@ -705,3 +714,46 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("ccl ")
+
+
+# A fresh interpreter imports ccl and, given arguments, runs them through
+# ``main``; its last line says whether numpy was loaded.
+_NUMPY_PROBE = """\
+import sys
+import ccl, ccl.cli
+code = 0
+if sys.argv[1:]:
+    try:
+        code = ccl.cli.main(sys.argv[1:])
+    except SystemExit as exc:  # --version and --help end in argparse
+        code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, code, loads_numpy", [
+    ([], 0, False),
+    (["tm-search", "--states", "2", "--colors", "2", "--sample-size", "20",
+      "--steps", "20", "--out", "{out}", "--create"], 0, False),
+    (["sample", "--out", "{out}", "--create"], 0, False),
+    (["--version"], 0, False),
+    (["--help"], 0, False),
+    (["tm-search", "--states", "5", "--colors", "3", "--out", "{out}"],
+     2, False),
+    (["classify", "--colors", "11", "--rules", "5", "--steps", "5",
+      "--out", "{out}", "--create"], 2, False),
+    # The control: a run that evolves a CA loads numpy.
+    (["classify", "--rules", "30", "--steps", "10", "--out", "{out}",
+      "--create"], 0, True),
+], ids=["import", "tm-search", "sample", "version", "help", "tm-search-2",
+        "classify-2", "classify"])
+def test_numpy_is_loaded_only_by_runs_that_evolve_a_ca(tmp_path, argv, code,
+                                                       loads_numpy):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE,
+         *(a.format(out=tmp_path / "out") for a in argv)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{code} {loads_numpy}"
