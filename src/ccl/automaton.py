@@ -36,7 +36,7 @@ class RuleSpec:
 
     def __post_init__(self):
         if self.kind not in (CA, TM):
-            raise ValueError(f"unknown machine kind {self.kind!r}")
+            raise ValueError(f"kind must be CA or TM, not {self.kind!r}")
         if self.colors < 2:
             raise ValueError("colors must be >= 2")
         if self.kind == CA and self.states != 1:

@@ -300,13 +300,13 @@ def cmd_transition(cfg, threads):
     for rec in report.records[: cfg["top"]]:
         found = interesting_initial_conditions(
             rec.rule, cfg["count"], cfg["profile_steps"],
-            cfg["profile_blocks"], cfg["scan"], threshold, threads=threads,
+            cfg["profile_blocks"], cfg["scan"], threads=threads,
         )
         scans.append({"rule": rec.rule.rule_number, "ics": list(found.ics),
                       "profile": list(found.profile),
                       "coefficient": found.coefficient,
                       "threshold": threshold,
-                      "warning": found.warning})
+                      "warning": not found.coefficient > threshold})
         files[f"profile-{rec.rule.rule_number}.csv"] = _csv(
             "ic,score", [{"ic": j, "score": v}
                          for j, v in enumerate(found.profile)])
@@ -319,8 +319,9 @@ def cmd_profile(cfg, threads):
     if cfg["rule"] is None:
         raise ConfigError("profile needs --rule")
     rule = RuleSpec(CA, cfg["colors"], cfg["rule"])
-    profile = ic_profile(rule, cfg["ic_count"], cfg["steps"],
-                         cfg["normalize"], threads=threads)
+    profile = ic_profile(rule, cfg["ic_count"], cfg["steps"], threads=threads)
+    if cfg["normalize"]:
+        profile = tuple(v / cfg["steps"] for v in profile)
     spikes = detect_spikes(profile, float(cfg["q"]))
     return {
         f"profile-{rule.rule_number}.csv": _csv(
@@ -362,13 +363,10 @@ def cmd_tm_search(cfg, threads):
 
 
 def cmd_sample(cfg, threads):
-    kind = cfg["kind"]
-    if kind not in (CA, TM):
-        raise ConfigError(f"kind must be CA or TM, not {kind!r}")
-    specs = sample_rule_space(kind, cfg["colors"], cfg["states"],
+    specs = sample_rule_space(cfg["kind"], cfg["colors"], cfg["states"],
                               cfg["sample_size"], cfg["seed"])
     doc = {
-        "kind": kind,
+        "kind": cfg["kind"],
         "colors": cfg["colors"],
         "states": specs[0].states,
         "seed": cfg["seed"],
@@ -453,6 +451,8 @@ def main(argv=None):
 
 
 def entry():
+    # ccl runs no BLAS code, and _grid forks after importing numpy.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

@@ -45,14 +45,11 @@ class TransitionRecord:
 @dataclass(frozen=True)
 class InterestingIcs:
     """Initial-condition numbers with the sharpest profile jumps for one
-    rule, together with the aggregated per-condition score profile;
-    ``warning`` is set when the rule's transition coefficient does not
-    clear the phase-transition threshold."""
+    rule, its aggregated score profile and its transition coefficient."""
 
     ics: tuple
     profile: tuple
     coefficient: float
-    warning: bool
 
 
 def _sweep(rules, numbers, t_block, blocks, threads=None):
@@ -93,16 +90,15 @@ def _exponents(table, t_block):
     return out
 
 
-def ic_profile(rule, m, steps, normalize=False, threads=None):
+def ic_profile(rule, m, steps, threads=None):
     """Tuple of the compressed lengths of ``rule``'s evolution from initial
-    conditions 0..m-1, each run for ``steps`` steps in the common window;
-    divided by ``steps`` when ``normalize`` is set."""
+    conditions 0..m-1, each run for ``steps`` steps in the common window."""
     if m < 1:
         raise ValueError("need at least one initial condition")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     [table] = _sweep([rule], range(m), steps, 1, threads)
-    return tuple(row[0] / steps if normalize else row[0] for row in table)
+    return tuple(row[0] for row in table)
 
 
 def detect_spikes(profile, q=3.0):
@@ -144,15 +140,6 @@ def characteristic_exponent(rule, n, steps):
     return _exponent_sequences([rule], n, steps, 1)[0][0]
 
 
-def _records(rules, n, t_block, blocks, threads=None):
-    """The :class:`TransitionRecord` of each rule, from one grid."""
-    if blocks < 2:
-        raise ValueError("need at least two blocks to see a trend")
-    seqs = _exponent_sequences(rules, n, t_block, blocks, threads)
-    return [TransitionRecord(rule, tuple(seq), least_squares_fit(seq))
-            for rule, seq in zip(rules, seqs)]
-
-
 def least_squares_fit(seq):
     """Ordinary least squares line through (1, seq[0]), (2, seq[1]), ...;
     returns (intercept, slope)."""
@@ -174,11 +161,12 @@ def transition_record(rule, n=20, t_block=75, blocks=4, threads=None):
     runtimes t_block, 2*t_block, ..., blocks*t_block, each a row prefix of
     one evolution per condition.  ``C`` is the transition coefficient, the
     slope of the least-squares line ``fit`` through ``S_c``."""
-    return _records([rule], n, t_block, blocks, threads)[0]
+    return coefficient_classification([rule], n, t_block, blocks,
+                                      threads).records[0]
 
 
 def interesting_initial_conditions(rule, count=10, t=600, blocks=12, m=30,
-                                   threshold=1.0, threads=None):
+                                   threads=None):
     """The ``count`` initial-condition numbers at which the rule's profile
     jumps hardest, scanned over conditions 0..m-1 run up to ``t`` steps in
     ``blocks`` runtime blocks.
@@ -186,8 +174,8 @@ def interesting_initial_conditions(rule, count=10, t=600, blocks=12, m=30,
     Each condition's per-block lengths are step-normalized and averaged, so
     a jump must persist across runtimes to score.  A condition qualifies on
     the rise over either neighbor, ranked by size, returned ascending.
-    Rules whose transition coefficient (over the same sweep) does not
-    exceed ``threshold`` get a best-effort list and ``warning=True``.
+    ``coefficient`` is the rule's transition coefficient over the same
+    sweep; a rule without a phase transition gets a best-effort list.
     """
     t_block = _scan_block(count, t, blocks, m)
     [per_ic] = _sweep([rule], range(m), t_block, blocks, threads)
@@ -201,8 +189,7 @@ def interesting_initial_conditions(rule, count=10, t=600, blocks=12, m=30,
 
     # Coefficient over the same sweep (conditions 1..m-1), reusing lengths.
     coeff = least_squares_fit(_exponents(per_ic[1:], t_block))[1]
-    return InterestingIcs(ics, tuple(agg), coeff,
-                          warning=not coeff > threshold)
+    return InterestingIcs(ics, tuple(agg), coeff)
 
 
 @dataclass(frozen=True)
@@ -221,7 +208,11 @@ def coefficient_classification(rules, n=20, t_block=75, blocks=4,
     rules = list(rules)
     if not rules:
         raise ValueError("rule set must be non-empty")
-    records = _records(rules, n, t_block, blocks, threads)
+    if blocks < 2:
+        raise ValueError("need at least two blocks to see a trend")
+    seqs = _exponent_sequences(rules, n, t_block, blocks, threads)
+    records = [TransitionRecord(rule, tuple(seq), least_squares_fit(seq))
+               for rule, seq in zip(rules, seqs)]
     records.sort(key=lambda rec: (-rec.C, rec.rule.rule_number))
     ids = cluster_1d(rec.C for rec in records)
     return CoefficientReport(tuple(records), tuple(ids))

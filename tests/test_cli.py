@@ -2,6 +2,7 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -439,8 +440,7 @@ LIBRARY_DEFAULTS = [
       for key in ("n", "t_block", "blocks")],
     *[("transition", key, interesting_initial_conditions, parameter)
       for key, parameter in (("count", "count"), ("profile_steps", "t"),
-                             ("profile_blocks", "blocks"), ("scan", "m"),
-                             ("threshold", "threshold"))],
+                             ("profile_blocks", "blocks"), ("scan", "m"))],
     ("classify", "steps", classify_eca, "steps"),
     ("classify", "split_levels", classify_eca, "split_levels"),
 ]
@@ -666,6 +666,42 @@ def test_profile_command_outputs(tmp_path):
     assert (tmp_path / "profile-22.svg").exists()
 
 
+def test_normalization_divides_by_steps(tmp_path):
+    """Each ``profile --normalize`` value is the raw length divided by
+    ``--steps``."""
+    args = ["profile", "--rule", "30", "--ic-count", "5", "--steps", "40",
+            "--create"]
+    assert main([*args, "--out", str(tmp_path / "raw")]) == 0
+    assert main([*args, "--normalize", "--out", str(tmp_path / "norm")]) == 0
+    raw, norm = ((tmp_path / d / "profile-30.csv").read_text().splitlines()
+                 for d in ("raw", "norm"))
+    assert len(raw) == len(norm) == 6
+    for a, b in zip(raw[1:], norm[1:]):
+        ic, length = a.split(",")
+        assert b == f"{ic},{format(int(length) / 40, '.12g')}"
+
+
+def test_warning_is_set_unless_the_coefficient_clears_the_threshold(
+        tmp_path):
+    """A scanned rule is flagged when its coefficient does not exceed
+    ``--threshold``: at the coefficient itself, but not just below it."""
+    small = SMALL["transition"]
+    coefficient = interesting_initial_conditions(
+        RuleSpec.eca(22), small["count"], small["profile_steps"],
+        small["profile_blocks"], small["scan"]).coefficient
+    for threshold, warning in [(coefficient, True),
+                               (math.nextafter(coefficient, -math.inf),
+                                False)]:
+        out = tmp_path / repr(threshold)
+        assert main([*SMALL_TRANSITION, f"--threshold={threshold!r}",
+                     "--out", str(out), "--create"]) == 0
+        doc = json.loads((out / "interesting_ics.json").read_text())
+        [scan] = doc["rules"]
+        assert scan["coefficient"] == coefficient
+        assert doc["threshold"] == scan["threshold"] == threshold
+        assert scan["warning"] is warning
+
+
 def test_profile_needs_a_rule(tmp_path):
     assert main(["profile", "--out", str(tmp_path)]) == 2
 
@@ -757,3 +793,34 @@ def test_numpy_is_loaded_only_by_runs_that_evolve_a_ca(tmp_path, argv, code,
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"{code} {loads_numpy}"
+
+
+# A fresh interpreter runs the console script's ``entry()``; at exit it
+# prints how many OS threads the process still has.
+_THREAD_PROBE = """\
+import atexit, os, sys
+atexit.register(lambda: print(len(os.listdir("/proc/self/task"))))
+from ccl.cli import entry
+sys.argv = ["ccl", *sys.argv[1:]]
+entry()
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                    or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/task and at least two CPUs")
+def test_console_script_leaves_one_thread(tmp_path):
+    """ccl runs no BLAS code, so the console script keeps numpy's OpenBLAS
+    from starting threads that the grid's fork would run beside."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    # OpenBLAS falls back on the other two when its own variable is unset.
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE, "classify", "--rules", "30",
+         "--steps", "10", "--threads", "1", "--out", str(tmp_path)],
+        env={**env, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1"
