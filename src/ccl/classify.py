@@ -89,17 +89,24 @@ def classify_eca(steps=200, threads=None, split_levels=1):
 
 def sample_rule_space(kind, colors, states, size, seed):
     """Seeded uniform sample (without replacement) of rule numbers from one
-    machine space, returned as RuleSpecs sorted by rule number."""
+    machine space, returned as RuleSpecs sorted by rule number; a space of
+    more than 10**4300 rules, whose numbers Python cannot print, is refused."""
     if size < 1:
         raise ValueError("sample size must be >= 1")
     states = states if kind == TM else 1
     shape = RuleSpec(kind, colors, 0, states)
+    digits = sys.int_info.default_max_str_digits
+    if shape._space_exceeds(10 ** digits):
+        raise ValueError(
+            f"cannot sample a space of more than 10**{digits} rules")
     if not shape._space_exceeds(size - 1):
         raise ValueError(
             f"sample size {size} exceeds space size {shape.space_size}")
-    if shape._space_exceeds(sys.maxsize):
-        raise ValueError(
-            f"cannot sample a space of more than {sys.maxsize} rules")
-    rng = random.Random(seed)
-    numbers = sorted(rng.sample(range(shape.space_size), size))
-    return [RuleSpec(kind, colors, n, states) for n in numbers]
+    rng, n = random.Random(seed), shape.space_size
+    if n <= sys.maxsize:
+        numbers = rng.sample(range(n), size)
+    else:  # a range this long has no len: random.sample's large-n branch
+        numbers = set()
+        while len(numbers) < size:
+            numbers.add(rng.randrange(n))
+    return [RuleSpec(kind, colors, m, states) for m in sorted(numbers)]

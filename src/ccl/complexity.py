@@ -103,14 +103,6 @@ def encode_sequence(values):
     return raw.translate(_ASCII) + b"\n"
 
 
-# Encoded bytes below which a grid runs serially: the break-even of a
-# worker pool.  On a 2-vCPU host, starting and stopping a fork pool of 2
-# workers cost 11-15 ms (a 2-cell grid took 0.2-0.3 ms serially and
-# 11.6-14.5 ms through the pool), and grids ran at 66-82 MB/s serially,
-# so 2 workers save about that much on a grid of 2 MB.
-_POOL_MIN_BYTES = 2_000_000
-
-
 def _parallel_map(fn, items, workers):
     """``[fn(x) for x in items]`` on up to ``workers`` forked worker
     processes, never more than there are CPUs or items; results keep the
@@ -126,8 +118,7 @@ def _parallel_map(fn, items, workers):
             pass
         else:
             with pool:
-                return pool.map(fn, items,
-                                chunksize=-(-len(items) // (4 * workers)))
+                return pool.map(fn, items)
     return [fn(x) for x in items]
 
 
@@ -146,9 +137,8 @@ def _grid(rules, ics, t_block, blocks, threads=None):
     All cells share one window, sized for the longest condition and the
     full runtime; each evolution is compressed once and read off at its
     block row boundaries.  Cells map rule-major over ``threads`` worker
-    processes, or serially when the grid encodes fewer than
-    ``_POOL_MIN_BYTES``.  A rule with more than 10 colors is refused before
-    anything is evolved.
+    processes.  A rule with more than 10 colors is refused before anything
+    is evolved.
     """
     for rule in rules:
         if rule.colors > 10:
@@ -158,8 +148,6 @@ def _grid(rules, ics, t_block, blocks, threads=None):
     width = max(map(len, ics)) + 2 * (steps + 1)
     ends = [(width + 1) * (b * t_block + 1) for b in range(1, blocks + 1)]
     jobs = [(r, ic) for r in rules for ic in ics]
-    if len(jobs) * ends[-1] < _POOL_MIN_BYTES:
-        threads = 1
     import numpy  # every cell needs it; loaded here, forked workers inherit it
     # Freeing 1 MiB lifts glibc's heap trim threshold: cells reuse the heap.
     numpy.empty(1 << 20, numpy.uint8)

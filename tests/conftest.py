@@ -2,7 +2,6 @@ import multiprocessing
 
 import pytest
 
-import ccl.complexity
 from ccl import classify_eca
 
 
@@ -16,9 +15,8 @@ def eca_report_200():
 @pytest.fixture
 def pool_path(monkeypatch):
     """Every grid of more than one cell goes through a pool of up to 2
-    worker processes, however few bytes it encodes and however few CPUs
-    there are.  Returns the start methods the pools ask for."""
-    monkeypatch.setattr(ccl.complexity, "_POOL_MIN_BYTES", 0)
+    worker processes, however few CPUs there are.  Returns the start
+    methods the pools ask for."""
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     methods = []
     get_context = multiprocessing.get_context
@@ -48,7 +46,7 @@ class RecordingContext:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize):
+    def map(self, fn, items, chunksize=None):
         return list(map(fn, items))
 
 

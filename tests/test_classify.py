@@ -1,13 +1,16 @@
 import json
 import multiprocessing
+import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ccl.classify
 from ccl import (CA, COMPRESSOR, TM, RuleSpec, ca_complexity, classify_eca,
                  cluster_1d, encode_diagram, evolve_ca, rank_rules,
                  sample_rule_space)
@@ -208,11 +211,30 @@ class TestSampleRuleSpace:
             sample_rule_space(CA, 2, 1, 0, seed=0)
 
     def test_space_too_large_to_sample_rejected(self):
-        assert RuleSpec(CA, 4, 0).space_size > sys.maxsize
+        # 300**27000000 rules: refused without building the size.
         with pytest.raises(ValueError) as err:
-            sample_rule_space(CA, 4, 1, 5, seed=0)
+            sample_rule_space(CA, 300, 1, 5, seed=0)
         assert str(err.value) == (
-            f"cannot sample a space of more than {sys.maxsize} rules")
+            "cannot sample a space of more than 10**4300 rules")
+        assert RuleSpec(CA, 4, 0).space_size > sys.maxsize
+        numbers = [r.rule_number for r in sample_rule_space(CA, 4, 1, 5, 0)]
+        assert numbers == sorted(set(numbers)) and len(numbers) == 5
+        assert all(n < 4 ** 64 for n in numbers)
+
+    # Every space exceeds the set that random.sample keeps for k draws, so
+    # it takes the branch that sample_rule_space follows past sys.maxsize.
+    @pytest.mark.parametrize("kind, colors, states, n", [
+        (TM, 2, 2, 8 ** 4), (TM, 2, 3, 12 ** 6), (CA, 3, 1, 3 ** 27),
+        (TM, 3, 4, 24 ** 12)])
+    @pytest.mark.parametrize("k", [1, 6, 200])
+    def test_redraw_past_maxsize_matches_random_sample(
+            self, monkeypatch, kind, colors, states, n, k):
+        monkeypatch.setattr(ccl.classify, "sys", SimpleNamespace(
+            maxsize=0, int_info=sys.int_info))
+        for seed in range(3):
+            want = sorted(random.Random(seed).sample(range(n), k))
+            got = sample_rule_space(kind, colors, states, k, seed)
+            assert [r.rule_number for r in got] == want
 
     def test_sampled_three_color_top_rule_has_growing_complexity(self):
         rules = sample_rule_space(CA, 3, 1, 24, seed=5)

@@ -244,16 +244,14 @@ class TestGridPool:
         monkeypatch.setattr("multiprocessing.get_context", unavailable)
         assert _grid(*POOL_CASE, 2) == serial
 
-    # A one-cell condition run for 10 steps encodes (23 + 1) * 11 bytes.
-    @pytest.mark.parametrize("cells, least, pools", [
-        (2, 2 * 264 + 1, []), (2, 2 * 264, [2]), (3, 2 * 264 + 1, [2])])
-    def test_grids_below_break_even_run_serially(
-            self, monkeypatch, recorded_pools, cells, least, pools):
-        monkeypatch.setattr(ccl.complexity, "_POOL_MIN_BYTES", least)
+    # A one-cell condition run for 10 steps encodes (23 + 1) * 11 bytes, so
+    # this grid encodes 528: however small, it takes the workers asked for.
+    def test_two_cell_grid_takes_the_workers_asked_for(self, monkeypatch,
+                                                       recorded_pools):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
-        rules = [RuleSpec.eca(n) for n in (30, 90, 110)[:cells]]
+        rules = [RuleSpec.eca(30), RuleSpec.eca(90)]
         assert _grid(rules, [(1,)], 10, 1, 2) == _grid(rules, [(1,)], 10, 1)
-        assert recorded_pools == pools
+        assert recorded_pools == [2]
 
 
 class TestCaComplexity:
