@@ -8,13 +8,14 @@ background value that itself follows the rule (the image of the all-same
 neighborhood), which keeps odd rules -- those that map the all-zero
 neighborhood to a nonzero color -- free of artificial boundary wedges.
 
-Both kernels stop stepping at the first row that repeats an earlier one up
-to a shift, and copy the rest.  This is exact: every cell follows the same
-rule, so if row j is row i moved s cells on the same background, row j+n
-is row i+n moved s on an unbounded tape, and the backgrounds, following the
-rule from the same value, agree as well.  The light cone keeps every
-non-background cell inside the window, so a moved row is filled with its
-own background.
+The binary kernel stops stepping at the first row that repeats an earlier
+one up to a shift, and copies the rest.  This is exact: every cell follows
+the same rule, so if row j is row i moved s cells on the same background,
+row j+n is row i+n moved s on an unbounded tape, and the backgrounds,
+following the rule from the same value, agree as well.  The light cone
+keeps every non-background cell inside the window, so a moved row is
+filled with its own background.  The byte-row kernel (k > 2) steps every
+row: keying and copying its rows cost more than the steps they save.
 """
 
 from dataclasses import dataclass
@@ -120,36 +121,13 @@ def _rule_table(rule):
     return bytes(table)
 
 
-def _evolve(row, steps, step, key, shift):
-    """Rows 0..steps of an evolution from ``row`` on background 0.
-
-    ``step(row, bg)`` gives the next row and its background, ``key(row,
-    bg)`` the row with its background removed and moved to offset 0 plus
-    that offset, and ``shift(row, s, bg)`` the row moved s cells right,
-    filled with ``bg``.  Once row j equals an earlier row i moved by s on
-    the same background, each later row m is row m-(j-i) moved by s.
-    """
-    rows, bgs, seen = [row], [0], {}
-    for j in range(steps):
-        body, offset = key(row, bgs[j])
-        i, start = seen.setdefault((bgs[j], body), (j, offset))
-        if i < j:  # row m + (j - i) is row m moved, on row m's background
-            for m in range(i + 1, steps + 1 - (j - i)):
-                bgs.append(bgs[m])
-                rows.append(shift(rows[m], offset - start, bgs[m]))
-            break
-        row, bg = step(row, bgs[j])
-        rows.append(row)
-        bgs.append(bg)
-    return rows
-
-
 def _evolve_bits(rule_number, init, steps, width):
     """Binary-rule evolution on Python integers, one bit per cell.
 
     Each of the eight neighborhood patterns contributes one mask term, so a
     step is a handful of word-wide boolean operations regardless of width.
-    Returns the list of row integers (bit i = cell i).
+    Rows after the first shift-repeat are copied, which costs less than
+    stepping them.  Returns the list of row integers (bit i = cell i).
     """
     x = 0
     off = (width - len(init)) // 2
@@ -159,8 +137,20 @@ def _evolve_bits(rule_number, init, steps, width):
     mask = (1 << width) - 1
     terms = [((p >> 2) & 1, (p >> 1) & 1, p & 1)
              for p in range(8) if (rule_number >> p) & 1]
-
-    def step(x, bg):
+    rows, bgs, seen = [x], [0], {}
+    for j in range(steps):
+        bg = bgs[j]
+        y = x ^ mask if bg else x
+        zeros = max((y & -y).bit_length() - 1, 0)  # 0 for the empty row
+        i, start = seen.setdefault((bg, y >> zeros), (j, zeros))
+        if i < j:  # row m + (j - i) is row m moved, on row m's background
+            s = zeros - start
+            for m in range(i + 1, steps + 1 - (j - i)):
+                flip = mask if bgs[m] else 0
+                y = rows[m] ^ flip
+                rows.append(((y << s if s >= 0 else y >> -s) ^ flip) & mask)
+                bgs.append(bgs[m])
+            break
         left = ((x << 1) & mask) | bg
         right = (x >> 1) | (bg << (width - 1))
         y = 0
@@ -170,19 +160,10 @@ def _evolve_bits(rule_number, init, steps, width):
                 & (x if c else ~x)
                 & (right if r else ~right)
             )
-        return y & mask, (rule_number >> (7 if bg else 0)) & 1
-
-    def key(x, bg):
-        y = x ^ mask if bg else x
-        zeros = max((y & -y).bit_length() - 1, 0)  # 0 for the empty row
-        return y >> zeros, zeros
-
-    def shift(x, s, bg):
-        flip = mask if bg else 0
-        y = x ^ flip
-        return ((y << s if s >= 0 else y >> -s) ^ flip) & mask
-
-    return _evolve(x, steps, step, key, shift)
+        x = y & mask
+        rows.append(x)
+        bgs.append((rule_number >> (7 if bg else 0)) & 1)
+    return rows
 
 
 def _bits_to_cells(rows, width):
@@ -202,7 +183,8 @@ def _evolve_bytes(rule, init, steps, width):
     big-endian integers L, C and R; k*k*L + k*C + R holds each cell's
     neighborhood index in its own byte, as k**3 <= 256 leaves no carries,
     and one ``translate`` maps the indices to images.  Larger k index the
-    table with numpy.  Returns the list of rows.
+    table with numpy.  Every row is stepped, as keying a row to find a
+    shift-repeat costs more than this step.  Returns the list of rows.
     """
     k = rule.colors
     table = _rule_table(rule)
@@ -226,18 +208,11 @@ def _evolve_bytes(rule, init, steps, width):
             a = np.frombuffer(edge + row + edge, np.uint8).astype(np.intp)
             return images[(a[:-2] * k + a[1:-1]) * k + a[2:]].tobytes()
 
-    def step(row, bg):
-        return cells(row, bg), table[bg * (k * k + k + 1)]
-
-    def key(row, bg):
-        lead = row.lstrip(bytes((bg,)))
-        return lead.rstrip(bytes((bg,))), width - len(lead)
-
-    def shift(row, s, bg):
-        fill = bytes((bg,)) * abs(s)
-        return fill + row[:width - s] if s >= 0 else row[-s:] + fill
-
-    return _evolve(row, steps, step, key, shift)
+    rows, bg = [row], 0
+    for _ in range(steps):
+        row, bg = cells(row, bg), table[bg * (k * k + k + 1)]
+        rows.append(row)
+    return rows
 
 
 def evolve_ca(rule, init, steps, width=None):

@@ -12,6 +12,15 @@ def eca_report_200():
     return classify_eca(200, threads=4)
 
 
+@pytest.fixture(scope="session")
+def coefficient_sweep():
+    """The coefficient sweep of all 256 ECA, its ``_grid`` arguments and
+    lengths tables, computed once and shared by criterion 07 and the golden
+    pin of those lengths."""
+    from test_golden_lengths import coefficient_grid
+    return coefficient_grid()
+
+
 @pytest.fixture
 def pool_path(monkeypatch):
     """Every grid of more than one cell goes through a pool of up to 2

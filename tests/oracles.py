@@ -2,9 +2,10 @@
 
 Each oracle decodes its rule number from the documented digit layout on its
 own, one cell or one step at a time, so that the package's fast runners
-(the bit-parallel binary CA kernel, the byte-row kernel for more colors,
-both with their shift-repeat skip, and the Turing-machine state runner)
-are checked against code that shares none of their tables or loops.
+(the bit-parallel binary CA kernel with its shift-repeat skip, the
+byte-row kernel for more colors, which steps every row because keying and
+copying its rows cost more than its steps, and the Turing-machine state
+runner) are checked against code that shares none of their tables or loops.
 ``mirror`` reflects a CA rule left to right, which reverses the columns of
 every evolution from the reversed initial condition.
 ``gray_derivate`` and ``gray_integrate`` are the paper's digit-wise

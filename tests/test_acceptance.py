@@ -104,7 +104,17 @@ def test_criterion_06_spike_locations_for_rules_22_and_109():
     assert {2, 3, 11, 13} <= set(spikes_109)
 
 
-def test_criterion_07_top_coefficients_and_sign_margins():
+def test_criterion_07_top_coefficients_and_sign_margins(coefficient_sweep,
+                                                        monkeypatch):
+    # The sweep's grid is the session's one, which the golden lengths test
+    # pins; everything after the grid is this call's own work.
+    args, tables = coefficient_sweep
+
+    def shared(*call):
+        assert call[:4] == args
+        return tables
+
+    monkeypatch.setattr("ccl.transition._grid", shared)
     report = coefficient_classification(
         [RuleSpec.eca(r) for r in range(256)], threads=4
     )

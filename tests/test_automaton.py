@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl import (CA, TM, RuleSpec, ca_complexity, evolve_ca, rank_rules,
-                 reached_states_sequence, state_sequence)
+from ccl import (CA, TM, RuleSpec, ca_complexity, evolve_ca,
+                 initial_condition, rank_rules, reached_states_sequence,
+                 state_sequence)
 from ccl import automaton
 from ccl.automaton import _bits_to_cells, _evolve_bits, _evolve_bytes, _run
 from oracles import BLANK_TM, TmConfiguration, ca_step, mirror, tm_step
@@ -182,10 +183,12 @@ def assert_kernels_match_oracle(rule, init, steps, width):
 
 
 class TestShiftRepeatSkip:
-    # Once a row repeats an earlier one moved by s cells, both kernels copy
-    # the rest of the diagram instead of stepping it.  From one cell these
-    # rules' patterns move (2 left, 24 and 184 right), die (8) or blink
-    # with the background (1), each first repeating at the given step.
+    # Once a row repeats an earlier one moved by s cells, the bit kernel
+    # copies the rest of the diagram instead of stepping it.  The byte-row
+    # kernel steps every row, as keying and copying its rows cost more than
+    # its steps; it is checked here alongside.  From one cell these rules'
+    # patterns move (2 left, 24 and 184 right), die (8) or blink with the
+    # background (1), each first repeating at the given step.
     # Rule 3 moves while the background blinks, so a copied row must be
     # filled with its own background.  Rule 7 blinks its way to the empty
     # row at step 2, so a key that takes the one-cell row 0 for the empty
@@ -284,14 +287,21 @@ class TestEvolveCa:
             assert d.cells.tolist() == brute_evolve(number, [1, 0, 1], 20)
 
     def test_fast_and_general_paths_agree_on_all_rules(self):
-        # the byte-row kernel runs binary rules too, though evolve_ca
-        # gives them to the bit kernel
+        # The byte-row kernel runs binary rules too, though evolve_ca gives
+        # them to the bit kernel.  It steps every row, so it is the stepping
+        # reference for the bit kernel's shift-repeat skip on every ECA,
+        # from one cell and from multi-cell patterns, in the minimum window
+        # and in one 3 cells wider.
         digits = bytes.maketrans(b"\0\1", b"01")
-        for number in range(256):
-            bits = _evolve_bits(number, [1], 50, 103)
-            rows = _evolve_bytes(RuleSpec.eca(number), [1], 50, 103)
-            want = [int(row[::-1].translate(digits), 2) for row in rows]
-            assert bits == want, f"rule {number}"
+        for init in ((1,), (1, 0, 1, 1), initial_condition(5)):
+            for width in (len(init) + 102, len(init) + 105):
+                for number in range(256):
+                    bits = _evolve_bits(number, init, 50, width)
+                    rows = _evolve_bytes(RuleSpec.eca(number), init, 50,
+                                         width)
+                    want = [int(row[::-1].translate(digits), 2)
+                            for row in rows]
+                    assert bits == want, f"rule {number}, {init}, {width}"
 
     def test_light_cone(self):
         base = [0] * 9

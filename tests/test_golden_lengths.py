@@ -4,7 +4,9 @@ The acceptance tests check memberships and orderings, which an off-by-one
 row in a block prefix or a different zlib build can leave intact.  This
 file pins the lengths themselves: every ECA at t=200 from IC 0, the block
 prefix lengths of five rules at the coefficient-sweep and interesting-IC
-settings, a seeded 3-colour sample, and both Turing-machine measures of a
+settings, the first 16 hex digits of the sha256 of every ECA's
+coefficient-sweep lengths table (so a failure names the rules whose lengths
+changed), a seeded 3-colour sample, and both Turing-machine measures of a
 seeded sample of 2- to 4-state machines.  It also pins the sha256 of every
 file that one small command-line run of each subcommand writes, so a change
 to how a report is rendered shows here and not only in the benchmark.
@@ -62,7 +64,21 @@ OUTPUT_RUNS = {
 }
 
 
-def compute():
+def coefficient_grid():
+    """The ``_grid`` arguments of the coefficient sweep of all 256 ECA at
+    its default settings, and its lengths tables, computed at the worker
+    count of criterion 07, which shares them."""
+    _, ics, t_block, blocks = SWEEPS[0]
+    args = ([RuleSpec.eca(r) for r in range(256)],
+            [initial_condition(j) for j in ics], t_block, blocks)
+    return args, _grid(*args, threads=4)
+
+
+def compute(coefficient_tables=None):
+    """The golden document; ``coefficient_tables`` are the 256 tables of
+    :func:`coefficient_grid`, computed here when not given."""
+    if coefficient_tables is None:
+        coefficient_tables = coefficient_grid()[1]
     doc = {
         "zlib_runtime_version": zlib.ZLIB_RUNTIME_VERSION,
         "compressor": COMPRESSOR["id"],
@@ -74,6 +90,9 @@ def compute():
                        threads=2)
         doc[f"prefix_{name}"] = {
             str(r): table for r, table in zip(PREFIX_RULES, tables)}
+    doc["coefficient_sha256"] = {
+        str(r): hashlib.sha256(json.dumps(t).encode()).hexdigest()[:16]
+        for r, t in enumerate(coefficient_tables)}
     k3 = sample_rule_space(CA, 3, 1, K3_SIZE, K3_SEED)
     doc["k3_t200"] = dict(zip((str(r.rule_number) for r in k3), _t200(k3)))
     doc["tm_t200"] = {
@@ -112,9 +131,9 @@ def _tm_lengths(spec):
     return out
 
 
-def test_lengths_match_golden():
+def test_lengths_match_golden(coefficient_sweep):
     want = json.loads(GOLDEN.read_text())
-    got = compute()
+    got = compute(coefficient_sweep[1])
     recorded, running = want["zlib_runtime_version"], zlib.ZLIB_RUNTIME_VERSION
     for key in want:
         if key == "zlib_runtime_version":
