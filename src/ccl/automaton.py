@@ -255,9 +255,19 @@ def evolve_ca(rule, init, steps, width=None):
     return SpaceTimeDiagram(width, grid)
 
 
-def _run(rule):
-    """Yield the state of ``rule`` at each step 0, 1, ... from the blank
-    tape; end once the state can never change again.
+def _tm(rule, steps):
+    """The runner's arguments for a TM rule run for ``steps`` >= 0."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    if rule.kind != TM:
+        raise ValueError("expected a TM rule")
+    return rule.states, rule.colors, rule.rule_number
+
+
+def _run(states, colors, number):
+    """Yield the state of machine ``number`` of the (states, colors) space
+    at each step 0, 1, ... from the blank tape; end once the state can
+    never change again.
 
     Digit state*k + color of the rule number in base 2*s*k (s*k digits,
     most significant first) is new_state*(2k) + new_color*2 + (0 if the
@@ -266,22 +276,19 @@ def _run(rule):
     and moves away from all cells left so far, as it then does forever.
     At step 0 no cell has been left, so either move counts.
     """
-    if rule.kind != TM:
-        raise ValueError("expected a TM rule")
-    k, n = rule.colors, rule.rule_number
-    base, last = 2 * rule.states * k, rule.states * k - 1
+    k, base, last = colors, 2 * states * colors, states * colors - 1
     actions, tape, head, state = {}, {}, 0, 0
     lo, hi = 1, -1  # the cells the head has left: none yet
     while True:
         yield state
         i = state * k + tape.get(head, 0)
         if i not in actions:
-            d = n // base ** (last - i) % base
+            d = number // base ** (last - i) % base
             actions[i] = (d // (2 * k), d // 2 % k, 1 - d % 2 * 2)
         new_state, tape[head], move = actions[i]
         if new_state == state and (head > hi if move > 0 else head < lo):
             return
-        lo, hi = min(lo, head), max(hi, head)
+        lo, hi = (head if head < lo else lo), (head if head > hi else hi)
         head += move
         state = new_state
 
@@ -297,28 +304,28 @@ def reached_states_sequence(rule, steps):
     run stops once every state has occurred.
     """
     out = []
-    for count, end in enumerate([*_first_visits(rule, steps), steps + 1]):
+    for count, end in enumerate([*_first_visits(*_tm(rule, steps), steps),
+                                 steps + 1]):
         out += [count] * (end - len(out))
     return out
 
 
-def _first_visits(rule, steps):
-    """The step at which ``rule`` first visits each state in 0..steps,
-    from the blank tape; for one ``steps`` they fix the reached sequence."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+def _first_visits(states, colors, number, steps):
+    """The step at which machine ``number`` of the (states, colors) space
+    first visits each state in 0..steps, from the blank tape; for one
+    ``steps`` they fix the reached sequence."""
     firsts = {}
-    for step, state in zip(range(steps + 1), _run(rule)):
-        firsts.setdefault(state, step)
-        if len(firsts) == rule.states:
-            break
+    run = islice(_run(states, colors, number), steps + 1)
+    for step, state in enumerate(run):
+        if state not in firsts:
+            firsts[state] = step
+            if len(firsts) == states:
+                break
     return tuple(firsts.values())
 
 
 def state_sequence(rule, steps):
     """The raw state occupied at each step 0..steps of ``rule`` run from
     the blank tape; a settled state is repeated to the last step."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    out = list(islice(_run(rule), steps + 1))
+    out = list(islice(_run(*_tm(rule, steps)), steps + 1))
     return out + out[-1:] * (steps + 1 - len(out))

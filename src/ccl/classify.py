@@ -89,8 +89,8 @@ def classify_eca(steps=200, threads=None, split_levels=1):
 
 def sample_rule_space(kind, colors, states, size, seed):
     """Seeded uniform sample (without replacement) of rule numbers from one
-    machine space, returned as RuleSpecs sorted by rule number; a space of
-    more than 10**4300 rules, whose numbers Python cannot print, is refused."""
+    machine space, sorted; a space of more than 10**4300 rules, whose
+    numbers Python cannot print, is refused."""
     if size < 1:
         raise ValueError("sample size must be >= 1")
     states = states if kind == TM else 1
@@ -109,4 +109,4 @@ def sample_rule_space(kind, colors, states, size, seed):
         numbers = set()
         while len(numbers) < size:
             numbers.add(rng.randrange(n))
-    return [RuleSpec(kind, colors, m, states) for m in sorted(numbers)]
+    return sorted(numbers)

@@ -18,7 +18,7 @@ import sys
 from . import __version__
 from .automaton import CA, TM, RuleSpec
 from .classify import rank_rules, sample_rule_space
-from .complexity import COMPRESSOR, _tm_complexities
+from .complexity import COMPRESSOR, _tm_search
 from .svgplot import plot_svg
 from .transition import (_scan_block, coefficient_classification,
                          detect_spikes, ic_profile,
@@ -229,20 +229,16 @@ def _json(doc, sort_keys=False):
 def cmd_classify(cfg, threads):
     rules = _parse_rules(cfg["rules"])
     colors = cfg["colors"]
-    if rules is not None:
-        specs = [RuleSpec(CA, colors, r) for r in rules]
-    elif cfg["sample_size"] is not None:
-        specs = sample_rule_space(CA, colors, 1, cfg["sample_size"],
+    if rules is None and cfg["sample_size"] is not None:
+        rules = sample_rule_space(CA, colors, 1, cfg["sample_size"],
                                   cfg["seed"])
-    elif colors == 2:
-        specs = [RuleSpec.eca(r) for r in range(256)]
-    else:
-        raise ConfigError(
-            f"{colors}-color space needs an explicit rule list or "
-            "sample_size"
-        )
-    report = rank_rules(specs, cfg["ic"], cfg["steps"], threads,
-                        cfg["split_levels"])
+    elif rules is None:
+        if colors != 2:
+            raise ConfigError(f"{colors}-color space needs an explicit rule "
+                              "list or sample_size")
+        rules = range(256)
+    report = rank_rules([RuleSpec(CA, colors, r) for r in rules], cfg["ic"],
+                        cfg["steps"], threads, cfg["split_levels"])
     entries = [{"rule": e.rule.rule_number, "kind": e.rule.kind,
                 "colors": e.rule.colors, "c_raw": e.c_raw,
                 "c_compressed": e.c_compressed, "cluster": e.cluster}
@@ -346,32 +342,23 @@ def cmd_tm_search(cfg, threads):
                 f"exhaustive search over {base}**{digits} machines exceeds "
                 f"the budget of {cfg['budget']}"
             )
-        specs = [RuleSpec(TM, colors, r, states)
-                 for r in range(shape.space_size)]
+        numbers = range(shape.space_size)
     else:
-        specs = sample_rule_space(TM, colors, states, cfg["sample_size"],
-                                  cfg["seed"])
-    ranked = sorted(
-        zip(specs, _tm_complexities(specs, cfg["steps"])),
-        key=lambda p: (-p[1].compressed_length, p[0].rule_number),
-    )[: cfg["top"]]
-    entries = [{"rule": r.rule_number, "states": r.states,
-                "colors": r.colors, "c_raw": est.raw_length,
-                "c_compressed": est.compressed_length} for r, est in ranked]
+        numbers = sample_rule_space(TM, colors, states, cfg["sample_size"],
+                                    cfg["seed"])
+    top = _tm_search(states, colors, numbers, cfg["steps"], cfg["top"])
+    entries = [{"rule": n, "states": states, "colors": colors, "c_raw": raw,
+                "c_compressed": -c} for c, n, raw in top]
     return {"tm_top.csv": _csv("rule,states,colors,c_raw,c_compressed",
                                entries)}
 
 
 def cmd_sample(cfg, threads):
-    specs = sample_rule_space(cfg["kind"], cfg["colors"], cfg["states"],
-                              cfg["sample_size"], cfg["seed"])
-    doc = {
-        "kind": cfg["kind"],
-        "colors": cfg["colors"],
-        "states": specs[0].states,
-        "seed": cfg["seed"],
-        "rules": [r.rule_number for r in specs],
-    }
+    numbers = sample_rule_space(cfg["kind"], cfg["colors"], cfg["states"],
+                                cfg["sample_size"], cfg["seed"])
+    doc = {"kind": cfg["kind"], "colors": cfg["colors"],
+           "states": cfg["states"] if cfg["kind"] == TM else 1,
+           "seed": cfg["seed"], "rules": numbers}
     return {"rules.json": _json(doc)}
 
 

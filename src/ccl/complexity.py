@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .automaton import (_first_visits, evolve_ca, reached_states_sequence,
-                        state_sequence)
+from .automaton import (TM, RuleSpec, _first_visits, evolve_ca,
+                        reached_states_sequence, state_sequence)
 
 # The pinned raw-DEFLATE (RFC 1951) parameters: a negative window_bits
 # selects a headerless stream.  All shipped reference results were produced
@@ -170,14 +170,14 @@ def ca_complexity(rule, init, steps):
     return ComplexityEstimate(raw, comp)
 
 
-def _tm_runner(sequence, rules):
-    """The runner of the ``sequence`` measure; a machine in ``rules`` with
-    more states than the measure has digits for is refused first."""
+def _tm_runner(sequence, states):
+    """The runner of the ``sequence`` measure; a machine of more ``states``
+    than the measure has digits for is refused first."""
     run, most = {"reached": (reached_states_sequence, 9),
                  "states": (state_sequence, 10)}.get(sequence, (None, 0))
     if run is None:
         raise ValueError("sequence must be 'reached' or 'states'")
-    if max((r.states for r in rules), default=0) > most:
+    if states > most:
         raise ValueError(f"the {sequence} measure takes at most {most} states")
     return run
 
@@ -188,19 +188,28 @@ def tm_complexity(rule, steps, sequence="reached"):
     ``"states"`` the raw state at each step.  A machine with more states
     than the measure has digits for is refused before it is run.
     """
-    data = encode_sequence(_tm_runner(sequence, [rule])(rule, steps))
+    data = encode_sequence(_tm_runner(sequence, rule.states)(rule, steps))
     return ComplexityEstimate(len(data), compressed_length(data))
 
 
-def _tm_complexities(rules, steps, sequence="reached"):
-    """``[tm_complexity(r, steps, sequence) for r in rules]`` with each key
-    measured once in this call: its first-visit steps fix a machine's
-    ``"reached"`` sequence; ``"states"`` keys on the machine itself."""
-    _tm_runner(sequence, rules)
-    memo, out = {}, []
-    for rule in rules:
-        key = _first_visits(rule, steps) if sequence == "reached" else rule
-        if key not in memo:
-            memo[key] = tm_complexity(rule, steps, sequence)
-        out.append(memo[key])
-    return out
+def _tm_search(states, colors, numbers, steps, top):
+    """The least ``top`` rows (-compressed length, number, raw length) of
+    machines ``numbers`` of one shape under ``"reached"``.  A machine's
+    first visits fix its sequence; each distinct one is measured once per
+    call, on a RuleSpec built then.  Too many states or negative steps run
+    no machine."""
+    import heapq  # only a search needs it
+    _tm_runner("reached", states)
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    memo = {}
+
+    def rows():
+        for n in numbers:
+            key = _first_visits(states, colors, n, steps)
+            est = memo.get(key)
+            if est is None:
+                est = memo[key] = tm_complexity(
+                    RuleSpec(TM, colors, n, states), steps)
+            yield -est.compressed_length, n, est.raw_length
+    return heapq.nsmallest(top, rows())

@@ -154,8 +154,8 @@ def test_criterion_09_compression_sanity_and_roundtrip():
 
 def test_criterion_10_tm_space_size_and_state_reach_bounds():
     assert RuleSpec.tm(2, 3, 0).space_size == 2_985_984
-    for rule in sample_rule_space(TM, 3, 2, 10000, 0):
-        seq = reached_states_sequence(rule, 200)
+    for n in sample_rule_space(TM, 3, 2, 10000, 0):
+        seq = reached_states_sequence(RuleSpec.tm(2, 3, n), 200)
         assert len(seq) == 201
         assert 1 <= seq[0] and seq[-1] <= 2
         assert all(a <= b for a, b in zip(seq, seq[1:]))

@@ -9,7 +9,8 @@ from ccl import (CA, TM, RuleSpec, ca_complexity, evolve_ca,
                  initial_condition, rank_rules, reached_states_sequence,
                  state_sequence)
 from ccl import automaton
-from ccl.automaton import _bits_to_cells, _evolve_bits, _evolve_bytes, _run
+from ccl.automaton import (_bits_to_cells, _evolve_bits, _evolve_bytes,
+                           _first_visits, _run)
 from oracles import BLANK_TM, TmConfiguration, ca_step, mirror, tm_step
 
 
@@ -462,6 +463,22 @@ class TestTuringMachine:
         steps = data.draw(st.integers(min_value=0, max_value=120))
         check_against_oracle(rule, steps)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_first_visits_match_the_stepping_oracle(self, data):
+        # The search reads machines by number, without a RuleSpec.
+        states = data.draw(st.integers(min_value=1, max_value=4))
+        colors = data.draw(st.integers(min_value=2, max_value=3))
+        space = (2 * states * colors) ** (states * colors)
+        number = data.draw(st.integers(0, space - 1))
+        steps = data.draw(st.integers(min_value=0, max_value=120))
+        firsts = {}
+        for step, state in enumerate(
+                oracle_states(RuleSpec.tm(states, colors, number), steps)):
+            firsts.setdefault(state, step)
+        assert _first_visits(states, colors, number, steps) == tuple(
+            firsts.values())
+
 
 def oracle_states(rule, steps):
     """The state at each step 0..steps, by the stepping oracle."""
@@ -470,6 +487,11 @@ def oracle_states(rule, steps):
         cfg = tm_step(cfg, rule)
         visited.append(cfg.state)
     return visited
+
+
+def run(rule):
+    """The lazy runner of ``rule``'s machine."""
+    return _run(rule.states, rule.colors, rule.rule_number)
 
 
 def check_against_oracle(rule, steps):
@@ -490,7 +512,7 @@ class TestLazyRunner:
         # every other entry would switch to state 1.
         rule = tm_rule_from_digits([action(0, 2, move)]
                                    + [action(1, 1, -move)] * 5)
-        assert list(islice(_run(rule), 100)) == [0]
+        assert list(islice(run(rule), 100)) == [0]
         check_against_oracle(rule, 60)
 
     def test_stuck_later_on_the_left_edge(self):
@@ -502,7 +524,7 @@ class TestLazyRunner:
         digits[3] = action(1, 1, -1)
         digits[4] = action(1, 1, -1)
         rule = tm_rule_from_digits(digits)
-        assert list(islice(_run(rule), 100)) == [0, 1, 1, 1]
+        assert list(islice(run(rule), 100)) == [0, 1, 1, 1]
         check_against_oracle(rule, 60)
 
     def test_fresh_cell_entry_moving_inward_does_not_stop(self):
@@ -515,7 +537,7 @@ class TestLazyRunner:
         digits[4] = action(0, 1, +1)
         rule = tm_rule_from_digits(digits)
         assert state_sequence(rule, 6) == [0, 1, 1, 0, 1, 1, 0]
-        assert len(list(islice(_run(rule), 100))) == 100
+        assert len(list(islice(run(rule), 100))) == 100
         check_against_oracle(rule, 60)
 
     def test_reached_stops_reading_once_every_state_occurred(
@@ -525,10 +547,10 @@ class TestLazyRunner:
         rule = tm_rule_from_digits(
             [action(1, 0, +1), 0, 0, action(0, 0, +1), 0, 0])
         assert state_sequence(rule, 50) == [0, 1] * 25 + [0]
-        read, run = [], automaton._run
+        read, original = [], automaton._run
 
-        def counting(rule):
-            for state in run(rule):
+        def counting(*machine):
+            for state in original(*machine):
                 read.append(state)
                 yield state
 

@@ -132,6 +132,21 @@ def test_config_error_before_missing_output_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("top", ["0", "20"])
+def test_tm_search_negative_steps_exit_2_before_any_machine_runs(
+        tmp_path, capsys, monkeypatch, top):
+    """The search of rule numbers checks ``steps`` itself, also where it
+    keeps no row."""
+    def run(*machine):
+        raise AssertionError("a machine was run")
+
+    monkeypatch.setattr("ccl.automaton._run", run)
+    assert main(["tm-search", "--steps", "-1", "--top", top,
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "ccl: steps must be >= 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_rule_list_is_config_error(tmp_path):
     assert main(["classify", "--rules", "30,x", "--out", str(tmp_path)]) == 2
 

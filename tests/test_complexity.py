@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import random
 import zlib
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 
 import ccl.complexity
 from ccl import automaton
-from ccl import (COMPRESSOR, ComplexityEstimate, RuleSpec, SpaceTimeDiagram,
-                 ca_complexity, compressed_length, deflate, encode_diagram,
+from ccl import (COMPRESSOR, RuleSpec, SpaceTimeDiagram, ca_complexity,
+                 compressed_length, deflate, encode_diagram,
                  encode_sequence, evolve_ca, prefix_compressed_lengths,
                  tm_complexity)
+from ccl.automaton import _first_visits
 from ccl.cli import main
-from ccl.complexity import _grid, _tm_complexities
+from ccl.complexity import _grid, _tm_search
 from rfc1951 import inflate
 from test_automaton import action, oracle_states, tm_rule_from_digits
 
@@ -344,7 +346,7 @@ class TestTmComplexity:
                                                   ("states", 11)])
     def test_refuses_more_states_than_digits_before_running(
             self, monkeypatch, sequence, states):
-        def run(rule):
+        def run(*machine):
             raise AssertionError("the machine was run")
 
         monkeypatch.setattr(automaton, "_run", run)
@@ -352,12 +354,6 @@ class TestTmComplexity:
             with pytest.raises(ValueError,
                                match=f"takes at most {states - 1} states"):
                 tm_complexity(rule, 200, sequence)
-        # A batch is refused whole before its first machine runs.
-        batch = [RuleSpec.tm(2, 2, 0), counter_machine(3),
-                 counter_machine(states)]
-        with pytest.raises(ValueError,
-                           match=f"takes at most {states - 1} states"):
-            _tm_complexities(batch, 200, sequence)
 
     def test_ten_states_fit_the_raw_state_measure(self):
         est = tm_complexity(counter_machine(10), 200, sequence="states")
@@ -377,8 +373,8 @@ def oracle_sequence(rule, steps, sequence):
     return [len(set(visited[: j + 1])) for j in range(steps + 1)]
 
 
-def measured_batch(machines, steps, sequence):
-    """``_tm_complexities`` of ``machines`` and the machines it passed to
+def searched(states, colors, numbers, steps, top):
+    """``_tm_search`` of ``numbers`` and the machines it passed to
     ``tm_complexity``, in call order."""
     measured = []
 
@@ -387,62 +383,99 @@ def measured_batch(machines, steps, sequence):
         return tm_complexity(rule, steps, sequence)
 
     with mock.patch.object(ccl.complexity, "tm_complexity", recording):
-        got = _tm_complexities(machines, steps, sequence)
+        got = _tm_search(states, colors, numbers, steps, top)
     return got, measured
 
 
-@st.composite
-def tm_machines(draw):
-    """A few machines of 1-4 states and 2-3 colors, drawn with repeats."""
-    def machine():
-        states, colors = draw(st.integers(1, 4)), draw(st.integers(2, 3))
-        space = (2 * states * colors) ** (states * colors)
-        return RuleSpec.tm(states, colors, draw(st.integers(0, space - 1)))
+def ranked_one_by_one(states, colors, numbers, steps, top):
+    """The search's rows from one ``tm_complexity`` call per machine,
+    ranked by (-compressed length, number)."""
+    rows = []
+    for n in numbers:
+        est = tm_complexity(RuleSpec.tm(states, colors, n), steps)
+        rows.append((-est.compressed_length, n, est.raw_length))
+    return sorted(rows)[:top]
 
-    pool = [machine() for _ in range(draw(st.integers(1, 6)))]
-    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+
+@st.composite
+def tm_searches(draw):
+    """One shape of 1-4 states and 2-3 colors, and a few of its machine
+    numbers, drawn with repeats."""
+    states, colors = draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    space = (2 * states * colors) ** (states * colors)
+    pool = draw(st.lists(st.integers(0, space - 1), min_size=1, max_size=6))
+    numbers = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return states, colors, numbers
 
 
 class TestTmComplexities:
-    """The search's batch measure: one ``tm_complexity`` call per distinct
-    sequence ("reached") or machine ("states"), same estimates as one call
+    """The search's measure of one machine shape: one ``tm_complexity``
+    call per distinct first-visit key, and the same top rows as one call
     per machine."""
 
     @settings(max_examples=150, deadline=None)
-    @given(tm_machines(), st.integers(0, 60),
-           st.sampled_from(["reached", "states"]))
-    def test_matches_one_measurement_per_machine(self, machines, steps,
-                                                 sequence):
-        got, measured = measured_batch(machines, steps, sequence)
-        assert got == [tm_complexity(r, steps, sequence) for r in machines]
-        seqs = [oracle_sequence(r, steps, sequence) for r in machines]
-        assert got == [ComplexityEstimate(len(d), compressed_length(d))
-                       for d in map(encode_sequence, seqs)]
-        # Each key is measured exactly once: the sequence for "reached",
-        # the machine for "states".
-        key = {r: tuple(seq) if sequence == "reached" else r
-               for r, seq in zip(machines, seqs)}
-        keys = [key[r] for r in measured]
-        assert len(keys) == len(set(keys)) and set(keys) == set(key.values())
+    @given(tm_searches(), st.integers(0, 60), st.integers(1, 14))
+    def test_matches_one_measurement_per_machine(self, search, steps, top):
+        states, colors, numbers = search
+        got, measured = searched(states, colors, numbers, steps, top)
+        assert got == ranked_one_by_one(states, colors, numbers, steps, top)
+        seqs = {n: tuple(oracle_sequence(RuleSpec.tm(states, colors, n),
+                                         steps, "reached"))
+                for n in numbers}
+        data = {n: encode_sequence(seq) for n, seq in seqs.items()}
+        assert got == sorted((-compressed_length(data[n]), n, len(data[n]))
+                             for n in numbers)[:top]
+        # Each key is measured exactly once, on a machine of the shape.
+        keys = [seqs[r.rule_number] for r in measured]
+        assert len(keys) == len(set(keys)) and set(keys) == set(seqs.values())
+        assert {(r.states, r.colors) for r in measured} == {(states, colors)}
 
     def test_each_distinct_reached_sequence_is_measured(self):
-        # First visits (0, 1, 3) and (0, 1, 2, 3): the same last first
+        # First visits (0, 1, 2, 5) and (0, 1, 3, 5): the same last first
         # visit and the same estimate, but two sequences.
-        three = tm_rule_from_digits(
-            [action(1, 1, +1, 2), 0, action(1, 0, -1, 2),
-             action(2, 0, +1, 2), 0, 0], states=3, colors=2)
-        machines = [three, counter_machine(4), three]
-        got, measured = measured_batch(machines, 10, "reached")
-        assert measured == [three, counter_machine(4)]
-        assert got == [tm_complexity(r, 10) for r in machines]
+        a, b = 2167757907, 3874956827
+        assert _first_visits(4, 2, a, 10) == (0, 1, 2, 5)
+        assert _first_visits(4, 2, b, 10) == (0, 1, 3, 5)
+        assert tm_complexity(RuleSpec.tm(4, 2, a), 10) == tm_complexity(
+            RuleSpec.tm(4, 2, b), 10)
+        got, measured = searched(4, 2, [a, b, a], 10, 3)
+        assert measured == [RuleSpec.tm(4, 2, a), RuleSpec.tm(4, 2, b)]
+        assert got == ranked_one_by_one(4, 2, [a, b, a], 10, 3)
 
     def test_memo_lives_for_one_call(self):
-        machines = [RuleSpec.tm(2, 3, 0), counter_machine(2),
-                    RuleSpec.tm(2, 3, 0)]
+        numbers = [0, counter_machine(2).rule_number, 0]
         for steps in (10, 20, 10):
-            got, measured = measured_batch(machines, steps, "reached")
-            assert got == [tm_complexity(r, steps) for r in machines]
-            assert measured == machines[:2]
+            got, measured = searched(2, 2, numbers, steps, 3)
+            assert got == ranked_one_by_one(2, 2, numbers, steps, 3)
+            assert measured == [RuleSpec.tm(2, 2, n) for n in numbers[:2]]
+
+    @pytest.mark.parametrize("states, steps, message", [
+        (10, 200, "the reached measure takes at most 9 states"),
+        (2, -1, "steps must be >= 0")])
+    @pytest.mark.parametrize("top", [0, 20])
+    def test_refused_whole_before_its_first_run(self, monkeypatch, states,
+                                                steps, message, top):
+        def run(*machine):
+            raise AssertionError("the machine was run")
+
+        monkeypatch.setattr(automaton, "_run", run)
+        with pytest.raises(ValueError, match=message):
+            _tm_search(states, 2, [0, 1, 2], steps, top)
+
+    def test_seeded_sample_ranks_across_lengths(self, tmp_path):
+        # The top 20 of this sample span compressed lengths 11-13, so the
+        # rows are ranked by length, not only by rule number.  The machines
+        # are those that `ccl sample` draws for the same seed.
+        shape = ["--states", "4", "--colors", "2", "--sample-size", "2000",
+                 "--seed", "0", "--out", str(tmp_path)]
+        assert main(["sample", "--kind", "TM", *shape]) == 0
+        assert main(["tm-search", *shape]) == 0
+        numbers = json.loads((tmp_path / "rules.json").read_text())["rules"]
+        top = ranked_one_by_one(4, 2, numbers, 200, 20)
+        assert {-c for c, _, _ in top} == {11, 12, 13}
+        assert (tmp_path / "tm_top.csv").read_text().splitlines() == [
+            "rule,states,colors,c_raw,c_compressed",
+            *(f"{n},4,2,{raw},{-c}" for c, n, raw in top)]
 
     def test_default_search_compresses_two_sequences(self, monkeypatch,
                                                      tmp_path):

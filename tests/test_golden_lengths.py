@@ -94,11 +94,12 @@ def compute(coefficient_tables=None):
         str(r): hashlib.sha256(json.dumps(t).encode()).hexdigest()[:16]
         for r, t in enumerate(coefficient_tables)}
     k3 = sample_rule_space(CA, 3, 1, K3_SIZE, K3_SEED)
-    doc["k3_t200"] = dict(zip((str(r.rule_number) for r in k3), _t200(k3)))
+    doc["k3_t200"] = dict(zip(map(str, k3),
+                              _t200([RuleSpec(CA, 3, n) for n in k3])))
     doc["tm_t200"] = {
-        f"{s},{k},{spec.rule_number}": _tm_lengths(spec)
+        f"{s},{k},{n}": _tm_lengths(RuleSpec(TM, k, n, s))
         for s, k in TM_SHAPES
-        for spec in sample_rule_space(TM, k, s, TM_SIZE, TM_SEED)
+        for n in sample_rule_space(TM, k, s, TM_SIZE, TM_SEED)
     }
     doc["outputs"] = {name: _output_digests(argv)
                       for name, argv in OUTPUT_RUNS.items()}
