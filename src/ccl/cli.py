@@ -18,7 +18,7 @@ import sys
 from . import __version__
 from .automaton import CA, TM, RuleSpec
 from .classify import rank_rules, sample_rule_space
-from .complexity import COMPRESSOR, _tm_search
+from .complexity import COMPRESSOR, _reached_limits, _tm_search
 from .svgplot import plot_svg
 from .transition import (_scan_block, coefficient_classification,
                          detect_spikes, ic_profile,
@@ -335,13 +335,15 @@ def cmd_profile(cfg, threads):
 def cmd_tm_search(cfg, threads):
     states, colors = cfg["states"], cfg["colors"]
     shape = RuleSpec(TM, colors, 0, states)
+    if cfg["exhaustive"] and shape._space_exceeds(cfg["budget"]):
+        base, digits = shape._space
+        raise ConfigError(
+            f"exhaustive search over {base}**{digits} machines exceeds "
+            f"the budget of {cfg['budget']}"
+        )
+    # The measure's limits are checked before a draw that can take seconds.
+    _reached_limits(states, cfg["steps"])
     if cfg["exhaustive"]:
-        if shape._space_exceeds(cfg["budget"]):
-            base, digits = shape._space
-            raise ConfigError(
-                f"exhaustive search over {base}**{digits} machines exceeds "
-                f"the budget of {cfg['budget']}"
-            )
         numbers = range(shape.space_size)
     else:
         numbers = sample_rule_space(TM, colors, states, cfg["sample_size"],

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import partial
 
 from .automaton import (TM, RuleSpec, _first_visits, evolve_ca,
-                        reached_states_sequence, state_sequence)
+                        reached_states_sequence)
 
 # The pinned raw-DEFLATE (RFC 1951) parameters: a negative window_bits
 # selects a headerless stream.  All shipped reference results were produced
@@ -170,38 +170,31 @@ def ca_complexity(rule, init, steps):
     return ComplexityEstimate(raw, comp)
 
 
-def _tm_runner(sequence, states):
-    """The runner of the ``sequence`` measure; a machine of more ``states``
-    than the measure has digits for is refused first."""
-    run, most = {"reached": (reached_states_sequence, 9),
-                 "states": (state_sequence, 10)}.get(sequence, (None, 0))
-    if run is None:
-        raise ValueError("sequence must be 'reached' or 'states'")
-    if states > most:
-        raise ValueError(f"the {sequence} measure takes at most {most} states")
-    return run
+def _reached_limits(states, steps):
+    """Refuse a "reached" run before it starts: each count is one digit, so
+    at most 9 states, and ``steps`` must be >= 0."""
+    if states > 9:
+        raise ValueError("the reached measure takes at most 9 states")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
 
 
-def tm_complexity(rule, steps, sequence="reached"):
-    """Compress a Turing machine's state usage over time: ``"reached"``
-    (default) feeds the cumulative distinct-state count per step,
-    ``"states"`` the raw state at each step.  A machine with more states
-    than the measure has digits for is refused before it is run.
-    """
-    data = encode_sequence(_tm_runner(sequence, rule.states)(rule, steps))
+def tm_complexity(rule, steps):
+    """Compress a Turing machine's state usage over time: the cumulative
+    distinct-state count per step.  A machine of more than 9 states is
+    refused before it is run."""
+    _reached_limits(rule.states, steps)
+    data = encode_sequence(reached_states_sequence(rule, steps))
     return ComplexityEstimate(len(data), compressed_length(data))
 
 
 def _tm_search(states, colors, numbers, steps, top):
     """The least ``top`` rows (-compressed length, number, raw length) of
-    machines ``numbers`` of one shape under ``"reached"``.  A machine's
-    first visits fix its sequence; each distinct one is measured once per
-    call, on a RuleSpec built then.  Too many states or negative steps run
-    no machine."""
+    machines ``numbers`` of one shape.  A machine's first visits fix its
+    sequence; each distinct one is measured once per call, on a RuleSpec
+    built then.  Too many states or negative steps run no machine."""
     import heapq  # only a search needs it
-    _tm_runner("reached", states)
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    _reached_limits(states, steps)
     memo = {}
 
     def rows():

@@ -147,6 +147,24 @@ def test_tm_search_negative_steps_exit_2_before_any_machine_runs(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--states", "10"], "the reached measure takes at most 9 states"),
+    (["--steps", "-1"], "steps must be >= 0"),
+], ids=["states-10", "steps-negative"])
+def test_tm_search_refused_before_it_draws(tmp_path, capsys, monkeypatch,
+                                           flags, message):
+    """The measure's limits are checked before the sample is drawn, which
+    for a million machines takes seconds."""
+    def draw(*args):
+        raise AssertionError("the sample was drawn")
+
+    monkeypatch.setattr("ccl.cli.sample_rule_space", draw)
+    assert main(["tm-search", *flags, "--sample-size", "1000000",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"ccl: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_rule_list_is_config_error(tmp_path):
     assert main(["classify", "--rules", "30,x", "--out", str(tmp_path)]) == 2
 

@@ -15,7 +15,7 @@ from ccl import automaton
 from ccl import (COMPRESSOR, RuleSpec, SpaceTimeDiagram, ca_complexity,
                  compressed_length, deflate, encode_diagram,
                  encode_sequence, evolve_ca, prefix_compressed_lengths,
-                 tm_complexity)
+                 state_sequence, tm_complexity)
 from ccl.automaton import _first_visits
 from ccl.cli import main
 from ccl.complexity import _grid, _tm_search
@@ -334,7 +334,7 @@ class TestTmComplexity:
         )
         t = 200
         by_changes = [
-            tm_complexity(rule, t, sequence="states").compressed_length
+            compressed_length(encode_sequence(state_sequence(rule, t)))
             for rule in (still, once, pingpong)
         ]
         assert by_changes[2] == max(by_changes)
@@ -342,34 +342,25 @@ class TestTmComplexity:
             still, t
         ).compressed_length
 
-    @pytest.mark.parametrize("sequence, states", [("reached", 10),
-                                                  ("states", 11)])
     def test_refuses_more_states_than_digits_before_running(
-            self, monkeypatch, sequence, states):
+            self, monkeypatch):
         def run(*machine):
             raise AssertionError("the machine was run")
 
         monkeypatch.setattr(automaton, "_run", run)
-        for rule in (RuleSpec.tm(states, 2, 0), counter_machine(states)):
-            with pytest.raises(ValueError,
-                               match=f"takes at most {states - 1} states"):
-                tm_complexity(rule, 200, sequence)
+        for rule in (RuleSpec.tm(10, 2, 0), counter_machine(10)):
+            with pytest.raises(ValueError, match="takes at most 9 states"):
+                tm_complexity(rule, 200)
 
     def test_ten_states_fit_the_raw_state_measure(self):
-        est = tm_complexity(counter_machine(10), 200, sequence="states")
+        got = encode_sequence(state_sequence(counter_machine(10), 200))
         want = encode_sequence([j % 10 for j in range(201)])
-        assert est.compressed_length == compressed_length(want)
-
-    def test_unknown_sequence_kind_rejected(self):
-        with pytest.raises(ValueError):
-            tm_complexity(RuleSpec.tm(2, 3, 0), 5, sequence="tape")
+        assert compressed_length(got) == compressed_length(want)
 
 
-def oracle_sequence(rule, steps, sequence):
-    """The ``sequence`` measure of ``rule``, by the stepping oracle."""
+def oracle_reached(rule, steps):
+    """The reached sequence of ``rule``, by the stepping oracle."""
     visited = oracle_states(rule, steps)
-    if sequence == "states":
-        return visited
     return [len(set(visited[: j + 1])) for j in range(steps + 1)]
 
 
@@ -378,9 +369,9 @@ def searched(states, colors, numbers, steps, top):
     ``tm_complexity``, in call order."""
     measured = []
 
-    def recording(rule, steps, sequence="reached"):
+    def recording(rule, steps):
         measured.append(rule)
-        return tm_complexity(rule, steps, sequence)
+        return tm_complexity(rule, steps)
 
     with mock.patch.object(ccl.complexity, "tm_complexity", recording):
         got = _tm_search(states, colors, numbers, steps, top)
@@ -419,8 +410,7 @@ class TestTmComplexities:
         states, colors, numbers = search
         got, measured = searched(states, colors, numbers, steps, top)
         assert got == ranked_one_by_one(states, colors, numbers, steps, top)
-        seqs = {n: tuple(oracle_sequence(RuleSpec.tm(states, colors, n),
-                                         steps, "reached"))
+        seqs = {n: tuple(oracle_reached(RuleSpec.tm(states, colors, n), steps))
                 for n in numbers}
         data = {n: encode_sequence(seq) for n, seq in seqs.items()}
         assert got == sorted((-compressed_length(data[n]), n, len(data[n]))

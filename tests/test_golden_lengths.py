@@ -6,10 +6,11 @@ file pins the lengths themselves: every ECA at t=200 from IC 0, the block
 prefix lengths of five rules at the coefficient-sweep and interesting-IC
 settings, the first 16 hex digits of the sha256 of every ECA's
 coefficient-sweep lengths table (so a failure names the rules whose lengths
-changed), a seeded 3-colour sample, and both Turing-machine measures of a
-seeded sample of 2- to 4-state machines.  It also pins the sha256 of every
-file that one small command-line run of each subcommand writes, so a change
-to how a report is rendered shows here and not only in the benchmark.
+changed), a seeded 3-colour sample, and the compressed reached and raw
+state sequences of a seeded sample of 2- to 4-state machines.  It also pins
+the sha256 of every file that one small command-line run of each subcommand
+writes, so a change to how a report is rendered shows here and not only in
+the benchmark.
 
 Re-record (only when lengths change on purpose) with
 
@@ -22,7 +23,8 @@ import tempfile
 import zlib
 from pathlib import Path
 
-from ccl import CA, TM, RuleSpec, initial_condition, tm_complexity
+from ccl import (CA, TM, RuleSpec, compressed_length, encode_sequence,
+                 initial_condition, state_sequence, tm_complexity)
 from ccl.classify import sample_rule_space
 from ccl.cli import main
 from ccl.complexity import COMPRESSOR, _grid
@@ -123,13 +125,12 @@ def _output_digests(argv):
 
 
 def _tm_lengths(spec):
-    """Raw and compressed length of the "reached" measure, then of the
-    "states" measure."""
-    out = []
-    for measure in ("reached", "states"):
-        est = tm_complexity(spec, STEPS, measure)
-        out += [est.raw_length, est.compressed_length]
-    return out
+    """Raw and compressed length of the "reached" measure, then of the raw
+    state sequence."""
+    est = tm_complexity(spec, STEPS)
+    raw = encode_sequence(state_sequence(spec, STEPS))
+    return [est.raw_length, est.compressed_length, len(raw),
+            compressed_length(raw)]
 
 
 def test_lengths_match_golden(coefficient_sweep):
