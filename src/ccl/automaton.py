@@ -16,9 +16,16 @@ following the rule from the same value, agree as well.  The light cone
 keeps every non-background cell inside the window, so a moved row is
 filled with its own background.  The byte-row kernel (k > 2) steps every
 row: keying and copying its rows cost more than the steps they save.
+
+The binary kernel also reports which of the eight neighborhoods rows
+0..steps-1 read.  With the rule's images on them they fix the diagram: a
+rule with the same images there steps row 0 to the same row 1, which then
+reads the same neighborhoods, and so on by induction.  Every stepped row
+reads the background's own neighborhood at its margin, and a copied row
+reads what the row it copies read.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 CA = "CA"
@@ -94,6 +101,7 @@ class SpaceTimeDiagram:
 
     width: int
     cells: "numpy.ndarray"  # (rows, width) uint8; read-only from evolve_ca
+    _reads: int = field(default=None, compare=False, repr=False)  # k = 2
 
     def __post_init__(self):
         if self.cells.ndim != 2 or self.cells.shape[1] != self.width:
@@ -127,7 +135,10 @@ def _evolve_bits(rule_number, init, steps, width):
     Each of the eight neighborhood patterns contributes one mask term, so a
     step is a handful of word-wide boolean operations regardless of width.
     Rows after the first shift-repeat are copied, which costs less than
-    stepping them.  Returns the list of row integers (bit i = cell i).
+    stepping them.  Returns the list of row integers (bit i = cell i) and
+    ``reads``, bit p set if pattern p occurs in rows 0..steps-1: row 0 has
+    0 at its margin, and a nonzero term proves its own pattern.  A rule
+    with this one's images on them evolves the same rows, by induction.
     """
     x = 0
     off = (width - len(init)) // 2
@@ -135,9 +146,9 @@ def _evolve_bits(rule_number, init, steps, width):
         if c:
             x |= 1 << (off + i)
     mask = (1 << width) - 1
-    terms = [((p >> 2) & 1, (p >> 1) & 1, p & 1)
-             for p in range(8) if (rule_number >> p) & 1]
-    rows, bgs, seen = [x], [0], {}
+    pats = [(1 << p, (p >> 2) & 1, (p >> 1) & 1, p & 1) for p in range(8)]
+    terms, unread = [t[1:] for t in pats if rule_number & t[0]], pats[1:]
+    rows, bgs, seen, reads = [x], [0], {}, min(steps, 1)
     for j in range(steps):
         bg = bgs[j]
         y = x ^ mask if bg else x
@@ -153,6 +164,11 @@ def _evolve_bits(rule_number, init, steps, width):
             break
         left = ((x << 1) & mask) | bg
         right = (x >> 1) | (bg << (width - 1))
+        for b, l, c, r in unread:  # only until all eight have been read
+            if ((left if l else ~left) & (x if c else ~x)
+                    & (right if r else ~right)):
+                reads |= b
+                unread = [u for u in unread if not reads & u[0]]
         y = 0
         for l, c, r in terms:
             y |= (
@@ -163,7 +179,7 @@ def _evolve_bits(rule_number, init, steps, width):
         x = y & mask
         rows.append(x)
         bgs.append((rule_number >> (7 if bg else 0)) & 1)
-    return rows
+    return rows, reads
 
 
 def _bits_to_cells(rows, width):
@@ -244,15 +260,14 @@ def evolve_ca(rule, init, steps, width=None):
     elif width < min_width:
         raise ValueError(f"width must be >= {min_width}")
     if rule.colors == 2:
-        grid = _bits_to_cells(
-            _evolve_bits(rule.rule_number, cells, steps, width), width
-        )
+        rows, reads = _evolve_bits(rule.rule_number, cells, steps, width)
+        grid = _bits_to_cells(rows, width)
     else:
         import numpy as np
-        rows = b"".join(_evolve_bytes(rule, cells, steps, width))
+        rows, reads = b"".join(_evolve_bytes(rule, cells, steps, width)), None
         grid = np.frombuffer(rows, np.uint8).reshape(steps + 1, width)
     grid.flags.writeable = False  # read-only for every color class
-    return SpaceTimeDiagram(width, grid)
+    return SpaceTimeDiagram(width, grid, reads)
 
 
 def _tm(rule, steps):

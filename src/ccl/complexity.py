@@ -122,11 +122,19 @@ def _parallel_map(fn, items, workers):
     return [fn(x) for x in items]
 
 
-def _cell(steps, width, ends, job):
-    """One grid cell: the prefix lengths of one (rule, IC) evolution."""
+def _cell(steps, width, ends, memo, job):
+    """One grid cell: the prefix lengths of one (rule, IC) evolution; ``memo``
+    keeps binary ones, (colors, ic) -> reads -> {number & reads: lengths}."""
     rule, ic = job
-    return prefix_compressed_lengths(
-        encode_diagram(evolve_ca(rule, ic, steps, width=width)), ends)
+    n, known = rule.rule_number, memo.setdefault((rule.colors, tuple(ic)), {})
+    for reads, lengths in known.items():
+        if n & reads in lengths:
+            return list(lengths[n & reads])
+    diagram = evolve_ca(rule, ic, steps, width=width)
+    out = prefix_compressed_lengths(encode_diagram(diagram), ends)
+    if diagram._reads is not None:
+        known.setdefault(diagram._reads, {})[n & diagram._reads] = out
+    return out
 
 
 def _grid(rules, ics, t_block, blocks, threads=None):
@@ -136,9 +144,11 @@ def _grid(rules, ics, t_block, blocks, threads=None):
 
     All cells share one window, sized for the longest condition and the
     full runtime; each evolution is compressed once and read off at its
-    block row boundaries.  Cells map rule-major over ``threads`` worker
-    processes.  A rule with more than 10 colors is refused before anything
-    is evolved.
+    block row boundaries.  A binary evolution's neighborhoods read and its
+    rule's images on them fix it (see ``automaton``), so each distinct one
+    is measured once per serial grid, or once per chunk of a pool's cells.
+    Cells map rule-major over ``threads`` worker processes.  A rule with
+    more than 10 colors is refused before anything is evolved.
     """
     for rule in rules:
         if rule.colors > 10:
@@ -151,8 +161,8 @@ def _grid(rules, ics, t_block, blocks, threads=None):
     import numpy  # every cell needs it; loaded here, forked workers inherit it
     # Freeing 1 MiB lifts glibc's heap trim threshold: cells reuse the heap.
     numpy.empty(1 << 20, numpy.uint8)
-    flat = _parallel_map(partial(_cell, steps, width, ends), jobs, threads)
-    return [flat[i:i + len(ics)] for i in range(0, len(flat), len(ics))]
+    out = _parallel_map(partial(_cell, steps, width, ends, {}), jobs, threads)
+    return [out[i:i + len(ics)] for i in range(0, len(out), len(ics))]
 
 
 def _raw_length(init, steps):

@@ -2,7 +2,7 @@ import multiprocessing
 
 import pytest
 
-from ccl import classify_eca
+from ccl import classify_eca, complexity
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +19,22 @@ def coefficient_sweep():
     pin of those lengths."""
     from test_golden_lengths import coefficient_grid
     return coefficient_grid()
+
+
+@pytest.fixture
+def evolutions(monkeypatch):
+    """The arguments of every CA evolution run during the test, recorded
+    by a stand-in for ``evolve_ca`` in ``ccl.complexity``, the one module
+    that evolves a CA for a measurement."""
+    evolved = []
+    evolve = complexity.evolve_ca
+
+    def counting_evolve(*args, **kwargs):
+        evolved.append(args)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(complexity, "evolve_ca", counting_evolve)
+    return evolved
 
 
 @pytest.fixture

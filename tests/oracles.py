@@ -6,6 +6,8 @@ own, one cell or one step at a time, so that the package's fast runners
 byte-row kernel for more colors, which steps every row because keying and
 copying its rows cost more than its steps, and the Turing-machine state
 runner) are checked against code that shares none of their tables or loops.
+``neighborhoods`` lists the neighborhood indices a ``ca_step`` reads, the
+oracle of the bit kernel's ``reads`` mask.
 ``mirror`` reflects a CA rule left to right, which reverses the columns of
 every evolution from the reversed initial condition.
 ``gray_derivate`` and ``gray_integrate`` are the paper's digit-wise
@@ -23,16 +25,15 @@ import numpy as np
 from ccl import CA, TM, RuleSpec, cluster_1d
 
 
-def ca_step(row, rule, background=0):
-    """Apply one synchronous update of a radius-1 CA rule to a row.
+def neighborhoods(row, rule, background=0):
+    """The base-k index l*k*k + c*k + r of each cell's neighborhood
+    (l, c, r) in one synchronous update of ``row`` by a radius-1 CA rule.
 
     Cells just outside the row are taken to hold ``background`` (0 by
-    default).  Output has the same length as the input.  The image of the
-    neighborhood (l, c, r) is base-k digit l*k*k + c*k + r of the rule
-    number.
+    default).  The indices are the digits of the rule number a step reads.
     """
     if rule.kind != CA:
-        raise ValueError("ca_step needs a CA rule")
+        raise ValueError("a CA step needs a CA rule")
     row = [int(c) for c in row]
     if len(row) < 3:
         raise ValueError("row must hold at least 3 cells")
@@ -42,10 +43,22 @@ def ca_step(row, rule, background=0):
     if not 0 <= background < k:
         raise ValueError(f"background must lie in [0, {k})")
     padded = [background] + row + [background]
-    return np.array([
-        rule.rule_number // k ** (l * k * k + c * k + r) % k
-        for l, c, r in zip(padded, padded[1:], padded[2:])
-    ], dtype=np.uint8)
+    return [l * k * k + c * k + r
+            for l, c, r in zip(padded, padded[1:], padded[2:])]
+
+
+def ca_step(row, rule, background=0):
+    """Apply one synchronous update of a radius-1 CA rule to a row.
+
+    Cells just outside the row are taken to hold ``background`` (0 by
+    default).  Output has the same length as the input.  The image of the
+    neighborhood (l, c, r) is base-k digit l*k*k + c*k + r of the rule
+    number.
+    """
+    k = rule.colors
+    return np.array([rule.rule_number // k ** i % k
+                     for i in neighborhoods(row, rule, background)],
+                    dtype=np.uint8)
 
 
 def mirror(rule):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl import (CA, TM, RuleSpec, ca_complexity, evolve_ca,
-                 initial_condition, rank_rules, reached_states_sequence,
-                 state_sequence)
+from ccl import (CA, TM, RuleSpec, SpaceTimeDiagram, ca_complexity,
+                 evolve_ca, initial_condition, rank_rules,
+                 reached_states_sequence, state_sequence)
 from ccl import automaton
 from ccl.automaton import (_bits_to_cells, _evolve_bits, _evolve_bytes,
                            _first_visits, _run)
-from oracles import BLANK_TM, TmConfiguration, ca_step, mirror, tm_step
+from oracles import (BLANK_TM, TmConfiguration, ca_step, mirror,
+                     neighborhoods, tm_step)
 
 
 def brute_evolve(rule_number, init, steps):
@@ -175,8 +176,8 @@ def first_repeat(rows, bgs):
 def assert_kernels_match_oracle(rule, init, steps, width):
     want, _ = oracle_diagram(rule, init, steps, width)
     if rule.colors == 2:
-        got = _bits_to_cells(
-            _evolve_bits(rule.rule_number, init, steps, width), width)
+        rows, _ = _evolve_bits(rule.rule_number, init, steps, width)
+        got = _bits_to_cells(rows, width)
         assert np.array_equal(got, want)
     assert np.array_equal(byte_rows(_evolve_bytes(rule, init, steps, width)),
                           want)
@@ -229,6 +230,68 @@ class TestShiftRepeatSkip:
         assert not d.cells.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             d.cells[0, 0] = 1
+
+
+def eca_draw(data, steps_max=30):
+    """An ECA drawn with its odd rules, whose background alternates, an
+    initial condition, a runtime from 0 and a window wider than the least."""
+    number = data.draw(st.one_of(st.integers(0, 255),
+                                 st.integers(0, 127).map(lambda n: 2 * n + 1)),
+                       label="rule")
+    init = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=6),
+                     label="init")
+    steps = data.draw(st.integers(0, steps_max), label="steps")
+    width = len(init) + 2 * (steps + 1) + data.draw(st.integers(0, 3))
+    return number, init, steps, width
+
+
+class TestReadMask:
+    # The bit kernel reports which of the eight neighborhoods its rows
+    # 0..steps-1 read.  A rule that agrees with another on those images
+    # evolves the same diagram, so the mask and the images on it key the
+    # grid's memo.
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_reads_are_the_neighborhoods_the_oracle_steps_read(self, data):
+        number, init, steps, width = eca_draw(data)
+        rule = RuleSpec.eca(number)
+        rows, bgs = oracle_diagram(rule, init, steps, width)
+        want = set().union(*(neighborhoods(rows[j], rule, bgs[j])
+                             for j in range(steps)))
+        assert _evolve_bits(number, init, steps, width)[1] == sum(
+            1 << p for p in want)
+        assert evolve_ca(rule, init, steps, width)._reads == sum(
+            1 << p for p in want)
+
+    def test_no_step_reads_nothing_and_more_colors_report_no_mask(self):
+        assert _evolve_bits(30, (1,), 0, 3)[1] == 0
+        assert evolve_ca(RuleSpec.eca(30), (1,), 0)._reads == 0
+        assert evolve_ca(RuleSpec.ca(3, 7), (1,), 5)._reads is None
+
+    def test_mask_stays_out_of_equality_and_repr(self):
+        d = evolve_ca(RuleSpec.eca(30), (1,), 5)
+        bare = SpaceTimeDiagram(d.width, d.cells)
+        assert d._reads == 255 and bare._reads is None
+        assert bare == d and repr(bare) == repr(d)
+
+    @pytest.mark.parametrize("init", [(1,), initial_condition(5)])
+    def test_key_is_equal_exactly_when_the_diagrams_are(self, init):
+        keys, diagrams = [], []
+        for number in range(256):
+            d = evolve_ca(RuleSpec.eca(number), init, 60)
+            keys.append((d._reads, number & d._reads))
+            diagrams.append(d.cells.tobytes())
+        pairs = set(zip(keys, diagrams))
+        assert len(set(keys)) == len(pairs) == len(set(diagrams))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_images_on_unread_neighborhoods_change_nothing(self, data):
+        number, init, steps, width = eca_draw(data)
+        d = evolve_ca(RuleSpec.eca(number), init, steps, width)
+        flip = data.draw(st.integers(0, 255), label="flip") & ~d._reads
+        other = evolve_ca(RuleSpec.eca(number ^ flip), init, steps, width)
+        assert other == d and other._reads == d._reads
 
 
 class TestMirrorSymmetry:
@@ -297,7 +360,7 @@ class TestEvolveCa:
         for init in ((1,), (1, 0, 1, 1), initial_condition(5)):
             for width in (len(init) + 102, len(init) + 105):
                 for number in range(256):
-                    bits = _evolve_bits(number, init, 50, width)
+                    bits, _ = _evolve_bits(number, init, 50, width)
                     rows = _evolve_bytes(RuleSpec.eca(number), init, 50,
                                          width)
                     want = [int(row[::-1].translate(digits), 2)
@@ -582,6 +645,6 @@ class TestBitsToCells:
         assert np.array_equal(got, format_bits_to_cells(rows, width))
 
     def test_evolution_rows_match_format_reference(self):
-        rows = _evolve_bits(110, (1, 0, 1, 1), 60, 131)
+        rows, _ = _evolve_bits(110, (1, 0, 1, 1), 60, 131)
         assert np.array_equal(_bits_to_cells(rows, 131),
                               format_bits_to_cells(rows, 131))

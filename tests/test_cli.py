@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccl import (CoefficientReport, RuleSpec, TransitionRecord,
-                 classify_eca, coefficient_classification, complexity,
+                 classify_eca, coefficient_classification,
                  interesting_initial_conditions, least_squares_fit,
                  rank_rules, transition_record)
 from ccl.cli import _PARAMS, main
@@ -76,22 +76,6 @@ def read_tree(root):
         p.name: p.read_bytes() for p in sorted(Path(root).iterdir())
         if p.is_file()
     }
-
-
-@pytest.fixture
-def evolutions(monkeypatch):
-    """The arguments of every CA evolution run during the test, recorded
-    by a stand-in for ``evolve_ca`` in ``ccl.complexity``, the one module
-    that evolves a CA for a measurement."""
-    evolved = []
-    evolve = complexity.evolve_ca
-
-    def counting_evolve(*args, **kwargs):
-        evolved.append(args)
-        return evolve(*args, **kwargs)
-
-    monkeypatch.setattr(complexity, "evolve_ca", counting_evolve)
-    return evolved
 
 
 def test_classify_explicit_rules(tmp_path):

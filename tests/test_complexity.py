@@ -222,6 +222,19 @@ class TestGrid:
             _grid([RuleSpec.eca(30), RuleSpec.ca(11, 0)], [(1,)], 5, 1)
 
 
+    def test_each_distinct_binary_diagram_is_evolved_once(self,
+                                                          evolutions):
+        # From one cell, the 256 ECA draw 143 distinct diagrams at t=200.
+        # In descending order the first rule of a class is not its least.
+        rules = [RuleSpec.eca(n) for n in range(256)]
+        tables = _grid(rules, [(1,)], 200, 1)
+        assert len(evolutions) == 143
+        assert _grid(rules[::-1], [(1,)], 200, 1) == tables[::-1]
+        assert len(evolutions) == 286
+        assert tables == [[[ca_complexity(r, (1,), 200).compressed_length]]
+                          for r in rules]
+
+
 # Three 2-color rules and one 3-color rule, two conditions, three blocks.
 POOL_CASE = ([RuleSpec.eca(n) for n in (30, 90, 110)]
              + [RuleSpec.ca(3, 7_000_000_000)], [(1,), (1, 0, 1)], 10, 3)
@@ -234,6 +247,16 @@ class TestGridPool:
         assert _grid(*POOL_CASE, 2) == serial
         assert pool_path == ["fork"]
         assert multiprocessing.active_children() == []
+
+    # Every rule here but 30 dies from one cell.  Nine cells make chunks of
+    # two, each with its own memo, so pooled cells are looked up as well.
+    def test_pooled_memo_gives_the_serial_tables(self, pool_path):
+        rules = [RuleSpec.eca(n) for n in (0, 8, 32, 40, 30, 128, 136, 160,
+                                           168)]
+        serial = _grid(rules, [(1,)], 10, 3, 1)
+        assert len({str(table) for table in serial}) == 2
+        assert _grid(rules, [(1,)], 10, 3, 2) == serial
+        assert pool_path == ["fork"]
 
     @pytest.mark.parametrize("error", [ValueError, OSError])
     def test_serial_where_no_pool_starts(self, pool_path, monkeypatch,
