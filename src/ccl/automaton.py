@@ -8,21 +8,12 @@ background value that itself follows the rule (the image of the all-same
 neighborhood), which keeps odd rules -- those that map the all-zero
 neighborhood to a nonzero color -- free of artificial boundary wedges.
 
-The binary kernel stops stepping at the first row that repeats an earlier
-one up to a shift, and copies the rest.  This is exact: every cell follows
-the same rule, so if row j is row i moved s cells on the same background,
-row j+n is row i+n moved s on an unbounded tape, and the backgrounds,
-following the rule from the same value, agree as well.  The light cone
-keeps every non-background cell inside the window, so a moved row is
-filled with its own background.  The byte-row kernel (k > 2) steps every
-row: keying and copying its rows cost more than the steps they save.
-
-The binary kernel also reports which of the eight neighborhoods rows
-0..steps-1 read.  With the rule's images on them they fix the diagram: a
-rule with the same images there steps row 0 to the same row 1, which then
-reads the same neighborhoods, and so on by induction.  Every stepped row
-reads the background's own neighborhood at its margin, and a copied row
-reads what the row it copies read.
+Both kernels step every row.  The binary kernel also reports which of the
+eight neighborhoods rows 0..steps-1 read.  With the rule's images on them
+they fix the diagram: a rule with the same images there steps row 0 to the
+same row 1, which then reads the same neighborhoods, and so on by
+induction.  Every row reads the background's own neighborhood at its
+margin.
 """
 
 from dataclasses import dataclass, field
@@ -129,16 +120,36 @@ def _rule_table(rule):
     return bytes(table)
 
 
+# The 16 two-input boolean functions on bit rows, indexed by truth table:
+# bit 2*l + r of the index is the image of (l, r).
+_BOOL2 = (
+    lambda l, r: 0, lambda l, r: ~(l | r), lambda l, r: ~l & r,
+    lambda l, r: ~l, lambda l, r: l & ~r, lambda l, r: ~r,
+    lambda l, r: l ^ r, lambda l, r: ~(l & r), lambda l, r: l & r,
+    lambda l, r: ~(l ^ r), lambda l, r: r, lambda l, r: ~l | r,
+    lambda l, r: l, lambda l, r: l | ~r, lambda l, r: l | r,
+    lambda l, r: -1,
+)
+
+
+def _centre_split(rule_number):
+    """(g0, g1): the binary rule's images of the outer cells (l, r) when
+    the centre cell is 0 and when it is 1, as functions on bit rows."""
+    return tuple(_BOOL2[sum(((rule_number >> (4 * l + 2 * c + r)) & 1)
+                            << (2 * l + r) for l in (0, 1) for r in (0, 1))]
+                 for c in (0, 1))
+
+
 def _evolve_bits(rule_number, init, steps, width):
     """Binary-rule evolution on Python integers, one bit per cell.
 
-    Each of the eight neighborhood patterns contributes one mask term, so a
-    step is a handful of word-wide boolean operations regardless of width.
-    Rows after the first shift-repeat are copied, which costs less than
-    stepping them.  Returns the list of row integers (bit i = cell i) and
-    ``reads``, bit p set if pattern p occurs in rows 0..steps-1: row 0 has
-    0 at its margin, and a nonzero term proves its own pattern.  A rule
-    with this one's images on them evolves the same rows, by induction.
+    Every row is stepped: each cell takes g0 or g1 of its outer cells (see
+    :func:`_centre_split`) as its centre is 0 or 1, so a step is a few
+    word-wide boolean operations regardless of width.  Returns the list of
+    row integers (bit i = cell i) and ``reads``, bit p set if pattern p
+    occurs in rows 0..steps-1: row 0 has 0 at its margin, and a nonzero
+    term proves its own pattern.  A rule with this one's images on them
+    evolves the same rows, by induction.
     """
     x = 0
     off = (width - len(init)) // 2
@@ -146,22 +157,10 @@ def _evolve_bits(rule_number, init, steps, width):
         if c:
             x |= 1 << (off + i)
     mask = (1 << width) - 1
-    pats = [(1 << p, (p >> 2) & 1, (p >> 1) & 1, p & 1) for p in range(8)]
-    terms, unread = [t[1:] for t in pats if rule_number & t[0]], pats[1:]
-    rows, bgs, seen, reads = [x], [0], {}, min(steps, 1)
-    for j in range(steps):
-        bg = bgs[j]
-        y = x ^ mask if bg else x
-        zeros = max((y & -y).bit_length() - 1, 0)  # 0 for the empty row
-        i, start = seen.setdefault((bg, y >> zeros), (j, zeros))
-        if i < j:  # row m + (j - i) is row m moved, on row m's background
-            s = zeros - start
-            for m in range(i + 1, steps + 1 - (j - i)):
-                flip = mask if bgs[m] else 0
-                y = rows[m] ^ flip
-                rows.append(((y << s if s >= 0 else y >> -s) ^ flip) & mask)
-                bgs.append(bgs[m])
-            break
+    g0, g1 = _centre_split(rule_number)
+    unread = [(1 << p, (p >> 2) & 1, (p >> 1) & 1, p & 1) for p in range(1, 8)]
+    rows, bg, reads = [x], 0, min(steps, 1)
+    for _ in range(steps):
         left = ((x << 1) & mask) | bg
         right = (x >> 1) | (bg << (width - 1))
         for b, l, c, r in unread:  # only until all eight have been read
@@ -169,16 +168,10 @@ def _evolve_bits(rule_number, init, steps, width):
                     & (right if r else ~right)):
                 reads |= b
                 unread = [u for u in unread if not reads & u[0]]
-        y = 0
-        for l, c, r in terms:
-            y |= (
-                (left if l else ~left)
-                & (x if c else ~x)
-                & (right if r else ~right)
-            )
-        x = y & mask
+        f0 = g0(left, right)
+        x = (f0 ^ (x & (f0 ^ g1(left, right)))) & mask
         rows.append(x)
-        bgs.append((rule_number >> (7 if bg else 0)) & 1)
+        bg = (rule_number >> (7 if bg else 0)) & 1
     return rows, reads
 
 

@@ -433,8 +433,8 @@ def main(argv=None):
     except (ConfigError, ValueError) as exc:
         print(f"ccl: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"ccl: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # numpy's allocation errors too
+        print(f"ccl: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 

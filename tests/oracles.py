@@ -2,10 +2,10 @@
 
 Each oracle decodes its rule number from the documented digit layout on its
 own, one cell or one step at a time, so that the package's fast runners
-(the bit-parallel binary CA kernel with its shift-repeat skip, the
-byte-row kernel for more colors, which steps every row because keying and
-copying its rows cost more than its steps, and the Turing-machine state
-runner) are checked against code that shares none of their tables or loops.
+(the bit-parallel binary CA kernel, which steps a row by the rule's two
+centre-split functions, the byte-row kernel for more colors, and the
+Turing-machine state runner) are checked against code that shares none of
+their tables or loops.
 ``neighborhoods`` lists the neighborhood indices a ``ca_step`` reads, the
 oracle of the bit kernel's ``reads`` mask.
 ``mirror`` reflects a CA rule left to right, which reverses the columns of

@@ -9,8 +9,8 @@ from ccl import (CA, TM, RuleSpec, SpaceTimeDiagram, ca_complexity,
                  evolve_ca, initial_condition, rank_rules,
                  reached_states_sequence, state_sequence)
 from ccl import automaton
-from ccl.automaton import (_bits_to_cells, _evolve_bits, _evolve_bytes,
-                           _first_visits, _run)
+from ccl.automaton import (_bits_to_cells, _centre_split, _evolve_bits,
+                           _evolve_bytes, _first_visits, _run)
 from oracles import (BLANK_TM, TmConfiguration, ca_step, mirror,
                      neighborhoods, tm_step)
 
@@ -141,6 +141,20 @@ class TestCaStep:
             assert np.array_equal(d.cells[j], row), f"row {j}"
 
 
+class TestCentreSplit:
+    def test_split_reproduces_every_rule_table(self):
+        # The bit kernel steps by g0 and g1, the rule's images of (l, r)
+        # with the centre 0 and 1; on every ECA they must give the image
+        # that the oracle's own digit lookup gives for each neighborhood.
+        for number in range(256):
+            rule, split = RuleSpec.eca(number), _centre_split(number)
+            for l in (0, 1):
+                for c in (0, 1):
+                    for r in (0, 1):
+                        want = int(ca_step([l, c, r], rule)[1])
+                        assert split[c](l, r) & 1 == want, (number, l, c, r)
+
+
 def byte_rows(rows):
     """Cell array of the byte-row kernel's rows."""
     return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1)
@@ -185,16 +199,14 @@ def assert_kernels_match_oracle(rule, init, steps, width):
 
 
 class TestShiftRepeatSkip:
-    # Once a row repeats an earlier one moved by s cells, the bit kernel
-    # copies the rest of the diagram instead of stepping it.  The byte-row
-    # kernel steps every row, as keying and copying its rows cost more than
-    # its steps; it is checked here alongside.  From one cell these rules'
-    # patterns move (2 left, 24 and 184 right), die (8) or blink with the
-    # background (1), each first repeating at the given step.
-    # Rule 3 moves while the background blinks, so a copied row must be
+    # Both kernels step every row; these diagrams are the ones a kernel
+    # that copied rows after a shift-repeat would get wrong.  From one cell
+    # these rules' patterns move (2 left, 24 and 184 right), die (8) or
+    # blink with the background (1), each first repeating at the given step.
+    # Rule 3 moves while the background blinks, so a moved row must be
     # filled with its own background.  Rule 7 blinks its way to the empty
-    # row at step 2, so a key that takes the one-cell row 0 for the empty
-    # row goes wrong from step 3.
+    # row at step 2, so a key that took the one-cell row 0 for the empty
+    # row would go wrong from step 3.
     NAMED = {2: 1, 24: 1, 184: 1, 8: 2, 1: 2, 3: 2, 7: 4}
 
     @pytest.mark.parametrize("number", list(NAMED))
@@ -352,10 +364,10 @@ class TestEvolveCa:
 
     def test_fast_and_general_paths_agree_on_all_rules(self):
         # The byte-row kernel runs binary rules too, though evolve_ca gives
-        # them to the bit kernel.  It steps every row, so it is the stepping
-        # reference for the bit kernel's shift-repeat skip on every ECA,
-        # from one cell and from multi-cell patterns, in the minimum window
-        # and in one 3 cells wider.
+        # them to the bit kernel.  It shares no table or step with the bit
+        # kernel, so it is the bit kernel's reference on every ECA, from one
+        # cell and from multi-cell patterns, in the minimum window and in
+        # one 3 cells wider.
         digits = bytes.maketrans(b"\0\1", b"01")
         for init in ((1,), (1, 0, 1, 1), initial_condition(5)):
             for width in (len(init) + 102, len(init) + 105):

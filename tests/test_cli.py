@@ -404,6 +404,26 @@ def test_failed_temporary_write_lands_no_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json.tmp"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--rules", "30", "--steps", "10"],
+    ["transition", "--rules", "22,30", "--n", "3", "--t-block", "5",
+     "--blocks", "2", "--top", "1", "--scan", "4", "--profile-steps", "8",
+     "--profile-blocks", "2"],
+])
+def test_memory_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
+                                            argv):
+    def grid(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("ccl.classify._grid", grid)
+    monkeypatch.setattr("ccl.transition._grid", grid)
+    out = tmp_path / "new"
+    assert main(argv + ["--out", str(out), "--create"]) == 3
+    err = capsys.readouterr().err
+    assert err == "ccl: out of memory\n"
+    assert not out.exists()
+
+
 def test_manifest_is_written_last(tmp_path, monkeypatch):
     landed = []
     replace = os.replace
