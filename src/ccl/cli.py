@@ -398,8 +398,9 @@ def _build_parser():
     common.add_argument("--create", action="store_true",
                         help="create the output directory if missing")
     _add_flags(common, _SEED)
-    common.add_argument("--threads", type=int, metavar="N",
-                        help="worker processes (or env CCL_THREADS; default 1)")
+    common.add_argument("--threads", type=int, metavar="N", help=(
+        "worker processes (or env CCL_THREADS; default 1) for classify, "
+        "transition and profile; tm-search and sample run in one process"))
 
     parser = argparse.ArgumentParser(
         prog="ccl",

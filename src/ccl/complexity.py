@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .automaton import (TM, RuleSpec, _first_visits, evolve_ca,
-                        reached_states_sequence)
+from .automaton import (TM, RuleSpec, _evolve_bits, _first_visits,
+                        evolve_ca, reached_states_sequence)
 
 # The pinned raw-DEFLATE (RFC 1951) parameters: a negative window_bits
 # selects a headerless stream.  All shipped reference results were produced
@@ -122,18 +122,18 @@ def _parallel_map(fn, items, workers):
     return [fn(x) for x in items]
 
 
-def _cell(steps, width, ends, memo, job):
-    """One grid cell: the prefix lengths of one (rule, IC) evolution; ``memo``
-    keeps binary ones, (colors, ic) -> reads -> {number & reads: lengths}."""
-    rule, ic = job
-    n, known = rule.rule_number, memo.setdefault((rule.colors, tuple(ic)), {})
-    for reads, lengths in known.items():
-        if n & reads in lengths:
-            return list(lengths[n & reads])
-    diagram = evolve_ca(rule, ic, steps, width=width)
-    out = prefix_compressed_lengths(encode_diagram(diagram), ends)
-    if diagram._reads is not None:
-        known.setdefault(diagram._reads, {})[n & diagram._reads] = out
+def _group(steps, width, ends, cells):
+    """[(i, lengths)] of a :func:`_grid` group of cells (i, rule, IC)."""
+    memo, out = {}, []  # binary: reads -> {number & reads: lengths}
+    for i, rule, ic in cells:
+        n = rule.rule_number
+        known = [m[n & r] for r, m in memo.items() if n & r in m]
+        if not known:
+            diagram = evolve_ca(rule, ic, steps, width=width)
+            known = [prefix_compressed_lengths(encode_diagram(diagram), ends)]
+            if (reads := diagram._reads) is not None:
+                memo.setdefault(reads, {})[n & reads] = known[0]
+        out.append((i, list(known[0])))
     return out
 
 
@@ -144,24 +144,33 @@ def _grid(rules, ics, t_block, blocks, threads=None):
 
     All cells share one window, sized for the longest condition and the
     full runtime; each evolution is compressed once and read off at its
-    block row boundaries.  A binary evolution's neighborhoods read and its
-    rule's images on them fix it (see ``automaton``), so each distinct one
-    is measured once per serial grid, or once per chunk of a pool's cells.
-    Cells map rule-major over ``threads`` worker processes.  A rule with
-    more than 10 colors is refused before anything is evolved.
+    block row boundaries.  A cell's group, (colors, condition, rule number
+    masked to the neighborhoods row 0 reads, or whole for k > 2), fixes
+    row 1, so it holds every cell that could share the cell's diagram (see
+    ``automaton``).  Whole groups map over ``threads`` worker processes.
+    More than 10 colors or negative steps are refused before any evolving.
     """
+    steps = t_block * blocks
     for rule in rules:
         if rule.colors > 10:
             raise ValueError("canonical encoding supports at most 10 colors, "
                              f"not {rule.colors}")
-    steps = t_block * blocks
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     width = max(map(len, ics)) + 2 * (steps + 1)
     ends = [(width + 1) * (b * t_block + 1) for b in range(1, blocks + 1)]
-    jobs = [(r, ic) for r in rules for ic in ics]
+    ics = [tuple(ic) for ic in ics]
+    row0 = {ic: _evolve_bits(0, ic, min(steps, 1), width)[1] for ic in ics}
+    groups = {}
+    for i, (rule, ic) in enumerate((r, ic) for r in rules for ic in ics):
+        n = rule.rule_number & (row0[ic] if rule.colors == 2 else -1)
+        groups.setdefault((rule.colors, ic, n), []).append((i, rule, ic))
     import numpy  # every cell needs it; loaded here, forked workers inherit it
     # Freeing 1 MiB lifts glibc's heap trim threshold: cells reuse the heap.
     numpy.empty(1 << 20, numpy.uint8)
-    out = _parallel_map(partial(_cell, steps, width, ends, {}), jobs, threads)
+    out = [c for _, c in sorted(cell for group in _parallel_map(partial(
+        _group, steps, width, ends), list(groups.values()), threads)
+        for cell in group)]
     return [out[i:i + len(ics)] for i in range(0, len(out), len(ics))]
 
 
@@ -176,8 +185,7 @@ def ca_complexity(rule, init, steps):
     encoding's length, (width + 1) * (steps + 1) bytes."""
     init = tuple(init)
     [[[comp]]] = _grid([rule], [init], steps, 1)
-    raw = _raw_length(init, steps)
-    return ComplexityEstimate(raw, comp)
+    return ComplexityEstimate(_raw_length(init, steps), comp)
 
 
 def _reached_limits(states, steps):

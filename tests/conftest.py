@@ -1,4 +1,5 @@
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -81,4 +82,32 @@ def recorded_pools(monkeypatch):
     processes = []
     monkeypatch.setattr("multiprocessing.get_context",
                         lambda method: RecordingContext(processes))
+    return processes
+
+
+class ChunkingContext(RecordingContext):
+    """A ``RecordingContext`` whose pools map as a fork pool's ``map`` does:
+    in chunks of ceil(n / (4 * workers)) items, each chunk pickled with its
+    own copy of ``fn``."""
+
+    def map(self, fn, items):
+        items = list(items)
+        size = -(-len(items) // (4 * self.processes[-1]))
+        out = []
+        for i in range(0, len(items), size):
+            task = pickle.loads(pickle.dumps((fn, items[i:i + size])))
+            out += map(*task)
+        return out
+
+
+@pytest.fixture
+def chunked_pools(monkeypatch):
+    """Pools of up to 2 workers, however few CPUs there are, that map in
+    this process in ``Pool.map``'s default chunks, each with its own copy
+    of the mapped function; none is started.  Returns the worker count of
+    each pool."""
+    processes = []
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("multiprocessing.get_context",
+                        lambda method: ChunkingContext(processes))
     return processes

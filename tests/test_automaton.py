@@ -58,6 +58,10 @@ class TestRuleSpec:
         with pytest.raises(ValueError):
             RuleSpec.tm(2, 3, 12 ** 6)
 
+    def test_tm_needs_a_state(self):
+        with pytest.raises(ValueError, match="states must be >= 1"):
+            RuleSpec.tm(0, 2, 0)
+
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([(CA, 2, 1), (CA, 3, 1), (CA, 4, 1), (TM, 2, 1),
                             (TM, 2, 2), (TM, 3, 2), (TM, 4, 3)]),
@@ -286,6 +290,14 @@ class TestReadMask:
         assert d._reads == 255 and bare._reads is None
         assert bare == d and repr(bare) == repr(d)
 
+    def test_width_must_match_the_cells(self):
+        d = evolve_ca(RuleSpec.eca(30), (1,), 5)
+        with pytest.raises(ValueError, match="of the stated width"):
+            SpaceTimeDiagram(d.width + 1, d.cells)
+
+    def test_a_diagram_equals_no_other_type(self):
+        assert (evolve_ca(RuleSpec.eca(30), (1,), 5) == 5) is False
+
     @pytest.mark.parametrize("init", [(1,), initial_condition(5)])
     def test_key_is_equal_exactly_when_the_diagrams_are(self, init):
         keys, diagrams = [], []
@@ -404,6 +416,10 @@ class TestEvolveCa:
                              width=narrow.width + 8)
             assert np.array_equal(wide.cells[:, 4:-4], narrow.cells)
 
+    def test_tm_rule_rejected(self):
+        with pytest.raises(ValueError, match="needs a CA rule"):
+            evolve_ca(RuleSpec.tm(2, 2, 0), (1,), 5)
+
     def test_width_below_light_cone_rejected(self):
         with pytest.raises(ValueError):
             evolve_ca(RuleSpec.eca(30), (1,), 10, width=10)
@@ -500,6 +516,12 @@ class TestTuringMachine:
 
     def test_zero_steps_sequence(self):
         assert reached_states_sequence(RuleSpec.tm(2, 3, 12345), 0) == [1]
+
+    def test_reached_refuses_a_ca_rule_and_negative_steps(self):
+        with pytest.raises(ValueError, match="expected a TM rule"):
+            reached_states_sequence(RuleSpec.eca(30), 5)
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            reached_states_sequence(RuleSpec.tm(2, 3, 0), -1)
 
     def test_never_switching_machine_reaches_one_state(self):
         assert reached_states_sequence(RuleSpec.tm(2, 3, 0), 20) == [1] * 21

@@ -210,6 +210,12 @@ def test_unknown_config_key_rejected(tmp_path):
     ("classify", b"\xff{}", "config file is not UTF-8 text"),
     ("sample", {"seed": -5}, "seed must be >= 0"),
     ("sample", {"kind": "ca"}, "kind must be CA or TM, not 'ca'"),
+    ("classify", '{"steps": ', "config file is not valid JSON"),
+    ("classify", [30], "config file must hold a JSON object"),
+    ("classify", {"colors": 3},
+     "3-color space needs an explicit rule list or sample_size"),
+    ("transition", {"colors": 3},
+     "non-binary sweeps need an explicit rule list"),
 ], ids=["steps-null", "steps-true", "steps-float", "colors-11-sampled",
         "threshold-null", "rules-item-null", "ic-item-null",
         "rules-item-float", "rules-item-true", "normalize-string",
@@ -219,7 +225,8 @@ def test_unknown_config_key_rejected(tmp_path):
         "rules-repeated", "classify-colors-11", "profile-colors-11",
         "transition-colors-11", "classify-colors-300",
         "rules-item-5001-digits", "config-not-utf-8", "seed-negative",
-        "sample-kind-lowercase"])
+        "sample-kind-lowercase", "config-not-json", "config-array",
+        "classify-colors-3-no-rules", "transition-colors-3-no-rules"])
 def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys,
                                                 evolutions, command, config,
                                                 message):
@@ -242,6 +249,15 @@ def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys,
         assert err.endswith(f"{cfg}\n")
     assert not out.exists()
     assert evolutions == []
+
+
+def test_missing_config_file_exits_2_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    out = tmp_path / "out"
+    assert main(["classify", "--config", str(cfg), "--out", str(out),
+                 "--create"]) == 2
+    assert capsys.readouterr().err == f"ccl: config file not found: {cfg}\n"
+    assert not out.exists()
 
 
 def _wrong_type_cases():
@@ -304,12 +320,14 @@ def test_every_key_rejects_a_wrong_json_type(tmp_path, capsys, command, key,
     (["sample", "--seed=-5", "--sample-size", "5"], "seed must be >= 0"),
     (["tm-search", "--states", "2", "--colors", "1000"],
      "cannot sample a space of more than 10**4300 rules"),
+    (["classify", "--rules", "30,90", "--threads", "0"],
+     "worker count must be >= 1"),
 ], ids=["tm-search-top", "transition-top", "transition-blocks",
         "transition-n", "transition-count-0", "transition-profile-steps-21",
         "transition-profile-steps-0", "transition-top-0-count-0", "q-nan",
         "q-negative", "transition-rules-repeated", "classify-colors-11",
         "tm-search-2000-states-exhaustive", "sample-seed-negative",
-        "tm-search-space-too-large"])
+        "tm-search-space-too-large", "threads-0"])
 def test_bad_flag_values_exit_2_before_writing(tmp_path, capsys, evolutions,
                                                argv, message):
     """The run is rejected for the one bad value, before a single evolution
@@ -516,6 +534,16 @@ def test_help_lists_the_options(capsys, command, options):
             invocation = line.strip().split("  ")[0]
             listed += [part.split()[0] for part in invocation.split(", ")]
     assert listed == COMMON_OPTIONS + options
+
+
+@pytest.mark.parametrize("command", list(SMALL))
+def test_threads_help_names_the_commands_that_use_workers(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert ("--threads N worker processes (or env CCL_THREADS; default 1) "
+            "for classify, transition and profile; tm-search and sample run "
+            "in one process") in help_text
 
 
 def test_null_accepted_where_the_default_is_unset(tmp_path):

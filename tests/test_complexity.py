@@ -248,8 +248,9 @@ class TestGridPool:
         assert pool_path == ["fork"]
         assert multiprocessing.active_children() == []
 
-    # Every rule here but 30 dies from one cell.  Nine cells make chunks of
-    # two, each with its own memo, so pooled cells are looked up as well.
+    # Every rule here but 30 dies from one cell, and maps 000, 001, 010 and
+    # 100 to 0: eight of the nine cells form one group, which a worker
+    # measures once and looks up seven times.
     def test_pooled_memo_gives_the_serial_tables(self, pool_path):
         rules = [RuleSpec.eca(n) for n in (0, 8, 32, 40, 30, 128, 136, 160,
                                            168)]
@@ -257,6 +258,26 @@ class TestGridPool:
         assert len({str(table) for table in serial}) == 2
         assert _grid(rules, [(1,)], 10, 3, 2) == serial
         assert pool_path == ["fork"]
+
+    # At 2 workers Pool.map cuts its items into chunks of ceil(n / 8), and
+    # each chunk gets its own pickled copy of the mapped function, so state
+    # carried in that function would split by chunk.  The 256 ECA from one
+    # cell make 16 groups of 16 rules, one per image of 000, 001, 010 and
+    # 100.
+    def test_chunked_pool_evolves_what_the_serial_grid_does(
+            self, chunked_pools, evolutions):
+        rules = [RuleSpec.eca(n) for n in range(256)]
+        tables = _grid(rules, [(1,)], 200, 1, 2)
+        assert chunked_pools == [2]
+        assert len(evolutions) == 143
+        assert tables == _grid(rules, [(1,)], 200, 1, 1)
+        rules, ics = rules[::3], [(1,), (1, 1), (1, 0, 1), (1, 1, 0, 1)]
+        del evolutions[:]
+        serial = _grid(rules, ics, 15, 2, 1)
+        count = len(evolutions)
+        assert _grid(rules, ics, 15, 2, 2) == serial
+        assert len(evolutions) == 2 * count
+        assert chunked_pools == [2, 2]
 
     @pytest.mark.parametrize("error", [ValueError, OSError])
     def test_serial_where_no_pool_starts(self, pool_path, monkeypatch,

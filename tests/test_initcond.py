@@ -100,6 +100,10 @@ class TestInitialCondition:
     def test_round_trip(self, n):
         assert initial_condition_number(initial_condition(n)) == n
 
+    def test_negative_number_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            initial_condition(-1)
+
     def test_always_ends_in_one(self):
         for n in range(0, 300):
             assert tuple(initial_condition(n))[-1] == 1

@@ -238,6 +238,10 @@ class TestIcProfile:
         spread = max(profile) - min(profile)
         assert spread <= 8
 
+    def test_steps_must_be_positive(self):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            ic_profile(RuleSpec.eca(22), 4, 0)
+
     def test_threaded_profile_identical(self):
         a = ic_profile(RuleSpec.eca(73), 8, 40, threads=4)
         b = ic_profile(RuleSpec.eca(73), 8, 40)
@@ -265,6 +269,14 @@ class TestInterestingInitialConditions:
         with pytest.raises(ValueError):
             interesting_initial_conditions(RuleSpec.eca(22), 5, 100, 3, 10)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"m": 2}, "at least three initial conditions"),
+        ({"t": 60, "blocks": 1}, "at least two blocks")],
+        ids=["m-2", "blocks-1"])
+    def test_scan_shape_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            interesting_initial_conditions(RuleSpec.eca(22), **kwargs)
+
     @pytest.mark.parametrize("t", [0, -4])
     def test_runtime_must_be_positive(self, t):
         with pytest.raises(ValueError, match="positive multiple"):
@@ -289,6 +301,10 @@ class TestInterestingInitialConditions:
 
 
 class TestCoefficientClassification:
+    def test_empty_rule_set_rejected(self):
+        with pytest.raises(ValueError, match="rule set must be non-empty"):
+            coefficient_classification([])
+
     def test_small_set_orders_and_clusters(self):
         rules = [RuleSpec.eca(n) for n in (22, 0, 4)]
         report = coefficient_classification(rules, n=6, t_block=30, blocks=3)
