@@ -170,22 +170,6 @@ def _parse_rules(value):
     return rules
 
 
-def _resolve_threads(flag_value):
-    value = flag_value
-    if value is None:
-        env = os.environ.get("CCL_THREADS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"bad CCL_THREADS value {env!r}") from exc
-    if value is None:
-        return 1
-    if value < 1:
-        raise ConfigError("worker count must be >= 1")
-    return value
-
-
 def _write(outdir, files, create):
     """Land ``files`` (name -> text) in ``outdir``, created if missing and
     ``create`` is set, all or nothing: a directory in the way is refused, and
@@ -398,9 +382,9 @@ def _build_parser():
     common.add_argument("--create", action="store_true",
                         help="create the output directory if missing")
     _add_flags(common, _SEED)
-    common.add_argument("--threads", type=int, metavar="N", help=(
-        "worker processes (or env CCL_THREADS; default 1) for classify, "
-        "transition and profile; tm-search and sample run in one process"))
+    common.add_argument("--threads", type=int, default=1, metavar="N", help=(
+        "worker processes (default 1) for classify, transition and "
+        "profile; tm-search and sample run in one process"))
 
     parser = argparse.ArgumentParser(
         prog="ccl",
@@ -420,8 +404,9 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.command, args.config, vars(args))
-        threads = _resolve_threads(args.threads)
-        files = _COMMANDS[args.command][0](cfg, threads)
+        if args.threads < 1:
+            raise ConfigError("worker count must be >= 1")
+        files = _COMMANDS[args.command][0](cfg, args.threads)
         files["compressor.cfg"] = (
             "# raw DEFLATE (RFC 1951) compressor parameters\n" + "".join(
                 f"{key} = {value}\n" for key, value in COMPRESSOR.items()

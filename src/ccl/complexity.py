@@ -148,10 +148,13 @@ def _grid(rules, ics, t_block, blocks, threads=None):
     masked to the neighborhoods row 0 reads, or whole for k > 2), fixes
     row 1, so it holds every cell that could share the cell's diagram (see
     ``automaton``).  Whole groups map over ``threads`` worker processes.
-    More than 10 colors or negative steps are refused before any evolving.
+    A Turing machine, more than 10 colors or negative steps are refused
+    before any evolving, so a group cannot pass a machine off as a CA.
     """
     steps = t_block * blocks
     for rule in rules:
+        if rule.kind == TM:
+            raise ValueError("evolve_ca needs a CA rule")
         if rule.colors > 10:
             raise ValueError("canonical encoding supports at most 10 colors, "
                              f"not {rule.colors}")

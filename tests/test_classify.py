@@ -111,6 +111,17 @@ class TestRankRules:
         assert str(pooled.value) == str(serial.value)
         assert multiprocessing.active_children() == []
 
+    # Rule 0 and this one-state machine share colors, condition and row-0
+    # mask, so a group would hand the machine rule 0's lengths.
+    @pytest.mark.parametrize("rules", [
+        [RuleSpec.eca(0), RuleSpec.tm(1, 2, 0)],
+        [RuleSpec.tm(1, 2, 0), RuleSpec.eca(0)]])
+    def test_turing_machine_refused_before_any_evolution(self, evolutions,
+                                                         rules):
+        with pytest.raises(ValueError, match="evolve_ca needs a CA rule"):
+            rank_rules(rules, (1,), 5)
+        assert evolutions == []
+
     # At t=20 rules 4 and 12 have equal lengths, so there is no cluster 1;
     # rules 30 and 89 share the high cluster at one length above rule 4's.
     @settings(max_examples=40, deadline=None)

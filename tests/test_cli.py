@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccl import (CoefficientReport, RuleSpec, TransitionRecord,
-                 classify_eca, coefficient_classification,
+                 classify_eca, coefficient_classification, detect_spikes,
                  interesting_initial_conditions, least_squares_fit,
                  rank_rules, transition_record)
 from ccl.cli import _PARAMS, main
@@ -498,6 +498,8 @@ LIBRARY_DEFAULTS = [
                              ("profile_blocks", "blocks"), ("scan", "m"))],
     ("classify", "steps", classify_eca, "steps"),
     ("classify", "split_levels", classify_eca, "split_levels"),
+    ("classify", "split_levels", rank_rules, "split_levels"),
+    ("profile", "q", detect_spikes, "q"),
 ]
 
 
@@ -541,9 +543,9 @@ def test_threads_help_names_the_commands_that_use_workers(capsys, command):
     with pytest.raises(SystemExit):
         main([command, "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
-    assert ("--threads N worker processes (or env CCL_THREADS; default 1) "
-            "for classify, transition and profile; tm-search and sample run "
-            "in one process") in help_text
+    assert ("--threads N worker processes (default 1) for classify, "
+            "transition and profile; tm-search and sample run in one "
+            "process") in help_text
 
 
 def test_null_accepted_where_the_default_is_unset(tmp_path):
@@ -661,13 +663,12 @@ def test_worker_error_is_one_config_error(tmp_path, capfd, pool_path):
     assert multiprocessing.active_children() == []
 
 
-def test_threads_from_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("CCL_THREADS", "3")
+def test_no_threads_flag_runs_serially_whatever_the_environment(
+        tmp_path, monkeypatch, chunked_pools):
+    monkeypatch.setenv("CCL_THREADS", "2")
     assert main(["classify", "--rules", "30,90", "--steps", "40",
                  "--out", str(tmp_path)]) == 0
-    monkeypatch.setenv("CCL_THREADS", "zebra")
-    assert main(["classify", "--rules", "30,90", "--steps", "40",
-                 "--out", str(tmp_path)]) == 2
+    assert chunked_pools == []
 
 
 def test_transition_single_rule_outputs(tmp_path):
