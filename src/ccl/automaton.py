@@ -272,10 +272,11 @@ def _tm(rule, steps):
     return rule.states, rule.colors, rule.rule_number
 
 
-def _run(states, colors, number):
+def _run(states, colors, number, actions=None):
     """Yield the state of machine ``number`` of the (states, colors) space
     at each step 0, 1, ... from the blank tape; end once the state can
-    never change again.
+    never change again.  ``actions``, if given, gains each action read,
+    keyed by its digit's index, in read order.
 
     Digit state*k + color of the rule number in base 2*s*k (s*k digits,
     most significant first) is new_state*(2k) + new_color*2 + (0 if the
@@ -285,7 +286,7 @@ def _run(states, colors, number):
     At step 0 no cell has been left, so either move counts.
     """
     k, base, last = colors, 2 * states * colors, states * colors - 1
-    actions, tape, head, state = {}, {}, 0, 0
+    actions, tape, head, state = ({} if actions is None else actions), {}, 0, 0
     lo, hi = 1, -1  # the cells the head has left: none yet
     while True:
         yield state
@@ -318,12 +319,12 @@ def reached_states_sequence(rule, steps):
     return out
 
 
-def _first_visits(states, colors, number, steps):
+def _first_visits(states, colors, number, steps, actions=None):
     """The step at which machine ``number`` of the (states, colors) space
     first visits each state in 0..steps, from the blank tape; for one
-    ``steps`` they fix the reached sequence."""
+    ``steps`` they fix the reached sequence.  ``actions`` is ``_run``'s."""
     firsts = {}
-    run = islice(_run(states, colors, number), steps + 1)
+    run = islice(_run(states, colors, number, actions), steps + 1)
     for step, state in enumerate(run):
         if state not in firsts:
             firsts[state] = step

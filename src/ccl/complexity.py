@@ -9,7 +9,6 @@ byte encoding, one raw-DEFLATE parameter set, lengths in bytes.
 import os
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from .automaton import (TM, RuleSpec, _evolve_bits, _first_visits,
@@ -33,6 +32,7 @@ class ComplexityEstimate:
 
     @property
     def ratio(self):
+        from fractions import Fraction  # ~3 ms with decimal; ratios only
         return Fraction(self.compressed_length, self.raw_length)
 
 
@@ -211,16 +211,30 @@ def tm_complexity(rule, steps):
 
 def _tm_search(states, colors, numbers, steps, top):
     """The least ``top`` rows (-compressed length, number, raw length) of
-    machines ``numbers`` of one shape.  A machine's first visits fix its
-    sequence; each distinct one is measured once per call, on a RuleSpec
-    built then.  Too many states or negative steps run no machine."""
+    machines ``numbers`` of one shape.  A run is fixed by the action digits
+    it reads, in read order: a machine is run only if no earlier run read
+    the same.  Its first visits fix its sequence; each distinct one is
+    measured once per call, on a RuleSpec built then.  Too many states or
+    negative steps run no machine."""
     import heapq  # only a search needs it
     _reached_limits(states, steps)
-    memo = {}
+    base, last = 2 * states * colors, states * colors - 1
+    # Inner node {None: place value of the digit read next, digit: node},
+    # leaf: first visits.  A run that reads a digit reads action 0 first;
+    # one that reads none leaves the tree as it is.
+    memo, root = {}, {None: base ** last}
 
     def rows():
         for n in numbers:
-            key = _first_visits(states, colors, n, steps)
+            key = root
+            while type(key) is dict:
+                key = key.get(n // key[None] % base)
+            if key is None:
+                key = _first_visits(states, colors, n, steps, read := {})
+                places, node = [base ** (last - i) for i in read], root
+                for place, then in zip(places, places[1:] + [0]):
+                    node = node.setdefault(n // place % base,
+                                           {None: then} if then else key)
             est = memo.get(key)
             if est is None:
                 est = memo[key] = tm_complexity(

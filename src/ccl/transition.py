@@ -20,7 +20,6 @@ over a rule's table of lengths (initial conditions by runtime blocks).
 """
 
 import math
-import statistics
 from dataclasses import dataclass
 
 from .classify import cluster_1d
@@ -115,6 +114,7 @@ def detect_spikes(profile, q=3.0):
     vals = list(profile)
     if len(vals) < 2:
         return []
+    import statistics  # ~1 ms plus fractions; only spikes need it
     diffs = [hi - lo for lo, hi in zip(vals, vals[1:])]
     med = statistics.median(diffs)
     mad = statistics.median(abs(d - med) for d in diffs)

@@ -861,6 +861,35 @@ def test_numpy_is_loaded_only_by_runs_that_evolve_a_ca(tmp_path, argv, code,
     assert proc.stdout.splitlines()[-1] == f"{code} {loads_numpy}"
 
 
+# The same for three standard modules that cost ~4 ms to import together.
+_STDLIB_PROBE = """\
+import sys
+import ccl, ccl.cli
+if sys.argv[1:]:
+    ccl.cli.main(sys.argv[1:])
+print(*sorted({"decimal", "fractions", "statistics"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], ""),
+    (["tm-search", "--out", "{out}", "--create"], ""),
+    # The control: spike detection takes a median.
+    (["profile", "--rule", "22", "--ic-count", "5", "--steps", "20",
+      "--out", "{out}", "--create"], "decimal fractions statistics"),
+], ids=["import", "tm-search", "profile"])
+def test_fractions_and_statistics_are_loaded_only_by_their_users(
+        tmp_path, argv, loaded):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _STDLIB_PROBE,
+         *(a.format(out=tmp_path / "out") for a in argv)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == loaded
+
+
 # A fresh interpreter runs the console script's ``entry()``; at exit it
 # prints how many OS threads the process still has.
 _THREAD_PROBE = """\

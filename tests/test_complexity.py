@@ -16,7 +16,8 @@ from ccl import (COMPRESSOR, RuleSpec, SpaceTimeDiagram, ca_complexity,
                  compressed_length, deflate, encode_diagram,
                  encode_sequence, evolve_ca, prefix_compressed_lengths,
                  state_sequence, tm_complexity)
-from ccl.automaton import _first_visits
+from ccl.automaton import TM, _first_visits
+from ccl.classify import sample_rule_space
 from ccl.cli import main
 from ccl.complexity import _grid, _tm_search
 from rfc1951 import inflate
@@ -482,6 +483,33 @@ class TestTmComplexities:
             got, measured = searched(2, 2, numbers, steps, 3)
             assert got == ranked_one_by_one(2, 2, numbers, steps, 3)
             assert measured == [RuleSpec.tm(2, 2, n) for n in numbers[:2]]
+
+    def test_each_distinct_run_is_run_once(self, monkeypatch):
+        # The benchmark's 10,000 machines, as `ccl sample` draws them for
+        # seed 0: every run reads the leading digit (action 0) first, and
+        # one run per value of it fixes every other machine's first visits.
+        numbers = sample_rule_space(TM, 3, 2, 10000, 0)
+        runs, original = [], automaton._run
+
+        def counting(*machine, **kwargs):
+            runs.append(machine[2])
+            return original(*machine, **kwargs)
+
+        monkeypatch.setattr(automaton, "_run", counting)
+        got, measured = searched(2, 3, numbers, 200, 20)
+        # Measuring each of the two distinct first visits runs one more.
+        assert len(measured) == 2 and len(runs) <= 12 + len(measured)
+        assert got == ranked_one_by_one(2, 3, numbers, 200, 20)
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 5, 50])
+    @pytest.mark.parametrize("states", [1, 2], ids=["no-digit", "2x2"])
+    def test_whole_space_matches_one_measurement_per_machine(self, states,
+                                                             steps):
+        # One state, or steps = 0, reads no digit: such runs leave the
+        # tree empty and every machine is run.
+        space = range(RuleSpec.tm(states, 2, 0).space_size)
+        assert _tm_search(states, 2, space, steps, len(space)) == (
+            ranked_one_by_one(states, 2, space, steps, len(space)))
 
     @pytest.mark.parametrize("states, steps, message", [
         (10, 200, "the reached measure takes at most 9 states"),
