@@ -34,6 +34,9 @@ class RuleSpec:
     states: int = 1
 
     def __post_init__(self):
+        for name in ("colors", "states", "rule_number"):  # operator.index test
+            if not hasattr(type(getattr(self, name)), "__index__"):
+                raise ValueError(f"{name} must be an integer")
         if self.kind not in (CA, TM):
             raise ValueError(f"kind must be CA or TM, not {self.kind!r}")
         if self.colors < 2:

@@ -6,7 +6,8 @@ Each subcommand renders plain report dicts through the one CSV and the one
 JSON renderer, and one writer lands the texts, with manifest.json (exact
 parameters and compressor pin) last; rerunning with the same config and seed
 reproduces every output byte regardless of worker count.  Exit codes: 0
-success, 2 invalid configuration, 3 I/O failure.
+success; 2 a refusal, a ``ValueError`` in the library and CLI alike; 3 an
+I/O or resource failure (out of memory, or a window too large to represent).
 """
 
 import argparse
@@ -27,10 +28,6 @@ from .transition import (_scan_block, coefficient_classification,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-
-class ConfigError(Exception):
-    pass
 
 
 class _Param:
@@ -112,11 +109,11 @@ def _check(key, value, param):
         return
     if not _has_type(value, param.kinds):
         what = " or ".join(_TYPE_NAMES[k] for k in param.kinds)
-        raise ConfigError(f"{key} must be {what}, not {json.dumps(value)}")
+        raise ValueError(f"{key} must be {what}, not {json.dumps(value)}")
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, not {json.dumps(value)}")
+        raise ValueError(f"{key} must be finite, not {json.dumps(value)}")
     if param.minimum is not None and value < param.minimum:
-        raise ConfigError(f"{key} must be >= {param.minimum}")
+        raise ValueError(f"{key} must be >= {param.minimum}")
 
 
 def _int(text):
@@ -124,8 +121,8 @@ def _int(text):
     try:
         return int(text)
     except ValueError:
-        raise ConfigError("config file holds an integer with more digits "
-                          "than can be read") from None
+        raise ValueError("config file holds an integer with more digits "
+                         "than can be read") from None
 
 
 def _load_config(command, path, flags):
@@ -138,20 +135,20 @@ def _load_config(command, path, flags):
             with open(path, encoding="utf-8") as fh:
                 loaded = json.load(fh, parse_int=_int)
         except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
+            raise ValueError(f"config file not found: {path}") from exc
         except UnicodeDecodeError as exc:
-            raise ConfigError(
+            raise ValueError(
                 f"config file is not UTF-8 text: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ValueError("config file must hold a JSON object")
     cfg = {key: param.default for key, param in params.items()}
     given = [(key, value) for key, value in flags.items()
              if key in params and value is not None]
     for key, value in [*loaded.items(), *given]:
         if key not in params:
-            raise ConfigError(f"unknown config key {key!r} for {command}")
+            raise ValueError(f"unknown config key {key!r} for {command}")
         _check(key, value, params[key])
         cfg[key] = value
     return cfg
@@ -164,9 +161,9 @@ def _parse_rules(value):
         rules = value if isinstance(value, list) else [
             int(tok) for tok in str(value).split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad rule list {value!r}") from exc
+        raise ValueError(f"bad rule list {value!r}") from exc
     if len(set(rules)) < len(rules):
-        raise ConfigError(f"rule list {value!r} repeats a rule number")
+        raise ValueError(f"rule list {value!r} repeats a rule number")
     return rules
 
 
@@ -218,8 +215,8 @@ def cmd_classify(cfg, threads):
                                   cfg["seed"])
     elif rules is None:
         if colors != 2:
-            raise ConfigError(f"{colors}-color space needs an explicit rule "
-                              "list or sample_size")
+            raise ValueError(f"{colors}-color space needs an explicit rule "
+                             "list or sample_size")
         rules = range(256)
     report = rank_rules([RuleSpec(CA, colors, r) for r in rules], cfg["ic"],
                         cfg["steps"], threads, cfg["split_levels"])
@@ -246,7 +243,7 @@ def cmd_transition(cfg, threads):
     rules = _parse_rules(cfg["rules"])
     if rules is None:
         if cfg["colors"] != 2:
-            raise ConfigError("non-binary sweeps need an explicit rule list")
+            raise ValueError("non-binary sweeps need an explicit rule list")
         rules = list(range(256))
     specs = [RuleSpec(CA, cfg["colors"], r) for r in rules]
     # The scan's checks run before the sweep, which can take seconds.
@@ -297,7 +294,7 @@ def cmd_transition(cfg, threads):
 
 def cmd_profile(cfg, threads):
     if cfg["rule"] is None:
-        raise ConfigError("profile needs --rule")
+        raise ValueError("profile needs --rule")
     rule = RuleSpec(CA, cfg["colors"], cfg["rule"])
     profile = ic_profile(rule, cfg["ic_count"], cfg["steps"], threads=threads)
     if cfg["normalize"]:
@@ -321,7 +318,7 @@ def cmd_tm_search(cfg, threads):
     shape = RuleSpec(TM, colors, 0, states)
     if cfg["exhaustive"] and shape._space_exceeds(cfg["budget"]):
         base, digits = shape._space
-        raise ConfigError(
+        raise ValueError(
             f"exhaustive search over {base}**{digits} machines exceeds "
             f"the budget of {cfg['budget']}"
         )
@@ -405,7 +402,7 @@ def main(argv=None):
     try:
         cfg = _load_config(args.command, args.config, vars(args))
         if args.threads < 1:
-            raise ConfigError("worker count must be >= 1")
+            raise ValueError("worker count must be >= 1")
         files = _COMMANDS[args.command][0](cfg, args.threads)
         files["compressor.cfg"] = (
             "# raw DEFLATE (RFC 1951) compressor parameters\n" + "".join(
@@ -416,10 +413,10 @@ def main(argv=None):
             "parameters": cfg, "compressor": COMPRESSOR,
         }, sort_keys=True)
         _write(args.out, files, args.create)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"ccl: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, MemoryError) as exc:  # numpy's allocation errors too
+    except (OSError, MemoryError, OverflowError) as exc:  # numpy's too
         print(f"ccl: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

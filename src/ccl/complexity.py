@@ -96,7 +96,7 @@ def encode_sequence(values):
     values = list(values)  # bytes() of a numpy array reads its raw buffer
     try:
         raw = bytes(values)
-    except ValueError:  # a value outside 0..255, so no digit either
+    except (TypeError, ValueError):  # not a byte, so no digit either
         raw = b"\xff"
     if raw.translate(None, _DIGITS):
         raise ValueError("canonical encoding supports values 0..9 only")

@@ -62,6 +62,19 @@ class TestRuleSpec:
         with pytest.raises(ValueError, match="states must be >= 1"):
             RuleSpec.tm(0, 2, 0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((CA, 2, 30.5), "rule_number"), ((TM, 2, 5.0, 2), "rule_number"),
+        ((CA, 2.0, 30), "colors"), ((CA, 2, "30"), "rule_number"),
+        ((TM, 2, 5, 2.0), "states"),
+    ], ids=["float-rule", "float-tm-rule", "float-colors", "string-rule",
+            "float-states"])
+    def test_non_integer_fields_refused(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            RuleSpec(*args)
+
+    def test_numpy_integer_rule_number_accepted(self):
+        assert RuleSpec(CA, 2, np.int64(30)) == RuleSpec(CA, 2, 30)
+
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([(CA, 2, 1), (CA, 3, 1), (CA, 4, 1), (TM, 2, 1),
                             (TM, 2, 2), (TM, 3, 2), (TM, 4, 3)]),

@@ -211,6 +211,8 @@ def test_unknown_config_key_rejected(tmp_path):
     ("sample", {"seed": -5}, "seed must be >= 0"),
     ("sample", {"kind": "ca"}, "kind must be CA or TM, not 'ca'"),
     ("classify", '{"steps": ', "config file is not valid JSON"),
+    ("classify", "[" * 100000 + "]" * 100000,
+     "config file is not valid JSON: maximum recursion depth"),
     ("classify", [30], "config file must hold a JSON object"),
     ("classify", {"colors": 3},
      "3-color space needs an explicit rule list or sample_size"),
@@ -225,7 +227,8 @@ def test_unknown_config_key_rejected(tmp_path):
         "rules-repeated", "classify-colors-11", "profile-colors-11",
         "transition-colors-11", "classify-colors-300",
         "rules-item-5001-digits", "config-not-utf-8", "seed-negative",
-        "sample-kind-lowercase", "config-not-json", "config-array",
+        "sample-kind-lowercase", "config-not-json", "config-nested-deep",
+        "config-array",
         "classify-colors-3-no-rules", "transition-colors-3-no-rules"])
 def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys,
                                                 evolutions, command, config,
@@ -439,6 +442,22 @@ def test_memory_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
     assert main(argv + ["--out", str(out), "--create"]) == 3
     err = capsys.readouterr().err
     assert err == "ccl: out of memory\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--steps", str(10 ** 21)],
+    ["profile", "--rule", "30", "--ic-count", "2", "--steps", str(10 ** 20)],
+    ["transition", "--rules", "30", "--t-block", str(10 ** 20)],
+], ids=["classify", "profile", "transition"])
+def test_window_too_large_to_represent_exits_3_with_one_line(tmp_path, capsys,
+                                                             argv):
+    """A window so wide that its first row cannot be built as one integer
+    is a resource failure, like running out of memory."""
+    out = tmp_path / "new"
+    assert main(argv + ["--out", str(out), "--create"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ccl: ") and err.count("\n") == 1
     assert not out.exists()
 
 

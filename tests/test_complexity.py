@@ -65,7 +65,7 @@ class TestEncoding:
         got = encode_sequence(np.array(values, dtype=np.int64))
         assert got == encode_sequence(values) == b"0391\n"
 
-    @pytest.mark.parametrize("bad", [10, -1, 256])
+    @pytest.mark.parametrize("bad", [10, -1, 256, 1.0, "1", None])
     def test_sequence_values_outside_digits_rejected(self, bad):
         with pytest.raises(ValueError, match=r"^canonical encoding supports "
                            r"values 0\.\.9 only$"):
