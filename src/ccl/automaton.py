@@ -16,27 +16,29 @@ induction.  Every row reads the background's own neighborhood at its
 margin.
 """
 
-from dataclasses import dataclass, field
+import operator
+from collections import namedtuple
 from itertools import islice
 
 CA = "CA"
 TM = "TM"
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(namedtuple("RuleSpec", "kind colors rule_number states",
+                          defaults=(1,))):
     """Identifies one machine: a k-color radius-1 CA or an s-state k-color
     Turing machine, by its rule number."""
 
-    kind: str
-    colors: int
-    rule_number: int
-    states: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("colors", "states", "rule_number"):  # operator.index test
-            if not hasattr(type(getattr(self, name)), "__index__"):
-                raise ValueError(f"{name} must be an integer")
+    def __new__(cls, kind, colors, rule_number, states=1):
+        ints = {"colors": colors, "states": states, "rule_number": rule_number}
+        for name, value in ints.items():
+            try:  # numpy integers become ints, which never overflow
+                ints[name] = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
+        self = super().__new__(cls, kind, **ints)
         if self.kind not in (CA, TM):
             raise ValueError(f"kind must be CA or TM, not {self.kind!r}")
         if self.colors < 2:
@@ -51,6 +53,11 @@ class RuleSpec:
                 f"rule_number {self.rule_number} outside the "
                 f"{base}**{digits}-rule space"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace is checked too
+        return cls(*iterable)
 
     @property
     def _space(self):
@@ -88,28 +95,31 @@ class RuleSpec:
         return cls(TM, colors, number, states)
 
 
-@dataclass(frozen=True, eq=False)
 class SpaceTimeDiagram:
     """Dense grid of cell values; row 0 is the initial condition, row j the
     state after j steps."""
 
-    width: int
-    cells: "numpy.ndarray"  # (rows, width) uint8; read-only from evolve_ca
-    _reads: int = field(default=None, compare=False, repr=False)  # k = 2
+    # cells: (rows, width) uint8, read-only from evolve_ca; _reads: the
+    # read mask of a binary evolution (see _evolve_bits), else None
+    __slots__ = ("_cells", "_reads")
 
-    def __post_init__(self):
-        if self.cells.ndim != 2 or self.cells.shape[1] != self.width:
+    def __init__(self, width, cells, _reads=None):
+        if cells.ndim != 2 or cells.shape[1] != width:
             raise ValueError("cells must be a 2-D array of the stated width")
+        self._cells, self._reads = cells, _reads
 
-    @property
-    def rows(self):
-        return self.cells.shape[0]
+    cells = property(lambda self: self._cells)
+    width = property(lambda self: self._cells.shape[1])
+    rows = property(lambda self: self._cells.shape[0])
 
     def __eq__(self, other):
         if not isinstance(other, SpaceTimeDiagram):
             return NotImplemented
         a, b = self.cells, other.cells  # the shape holds the width
         return a.shape == b.shape and bool((a == b).all())
+
+    def __repr__(self):
+        return f"SpaceTimeDiagram(width={self.width!r}, cells={self.cells!r})"
 
 
 def _rule_table(rule):

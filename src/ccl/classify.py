@@ -7,27 +7,22 @@ those lengths recovers the simple/complex behavioral divide.
 
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .automaton import CA, TM, RuleSpec
 from .complexity import _grid, _raw_length
 
 
-@dataclass(frozen=True)
-class ClassificationEntry:
-    rule: RuleSpec
-    c_raw: int
-    c_compressed: int
-    cluster: int
+ClassificationEntry = namedtuple("ClassificationEntry",
+                                 "rule c_raw c_compressed cluster")
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(namedtuple("ClassificationReport", "entries")):
     """Per-rule compressed lengths with cluster assignments, sorted by
     compressed length ascending (ties by rule number); cluster ids are
     dense from 0 and ordered by cluster mean."""
 
-    entries: tuple
+    __slots__ = ()
 
     def cluster_members(self, cluster):
         return [e.rule.rule_number for e in self.entries if e.cluster == cluster]

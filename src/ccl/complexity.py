@@ -8,7 +8,7 @@ byte encoding, one raw-DEFLATE parameter set, lengths in bytes.
 
 import os
 import zlib
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .automaton import (TM, RuleSpec, _evolve_bits, _first_visits,
@@ -25,10 +25,9 @@ _DIGITS = bytes(range(10))  # the values 0..9; _ASCII maps each to its digit
 _ASCII = bytes.maketrans(_DIGITS, b"0123456789")
 
 
-@dataclass(frozen=True)
-class ComplexityEstimate:
-    raw_length: int
-    compressed_length: int
+class ComplexityEstimate(namedtuple("ComplexityEstimate",
+                                    "raw_length compressed_length")):
+    __slots__ = ()
 
     @property
     def ratio(self):

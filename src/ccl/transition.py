@@ -20,35 +20,29 @@ over a rule's table of lengths (initial conditions by runtime blocks).
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .classify import cluster_1d
 from .complexity import _grid
 from .initcond import initial_condition
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
+class TransitionRecord(namedtuple("TransitionRecord", "rule S_c fit")):
     """One rule's characteristic-exponent sequence over growing runtimes,
-    its fitted line, and the coefficient C (= fitted slope)."""
+    its fitted line (intercept, slope), and the coefficient C (= fitted
+    slope)."""
 
-    rule: object
-    S_c: tuple
-    fit: tuple  # (intercept, slope)
+    __slots__ = ()
 
     @property
     def C(self):
         return self.fit[1]
 
 
-@dataclass(frozen=True)
-class InterestingIcs:
-    """Initial-condition numbers with the sharpest profile jumps for one
-    rule, its aggregated score profile and its transition coefficient."""
-
-    ics: tuple
-    profile: tuple
-    coefficient: float
+InterestingIcs = namedtuple("InterestingIcs", "ics profile coefficient")
+InterestingIcs.__doc__ = """Initial-condition numbers with the sharpest
+profile jumps for one rule, its aggregated score profile and its transition
+coefficient."""
 
 
 def _sweep(rules, numbers, t_block, blocks, threads=None):
@@ -192,13 +186,9 @@ def interesting_initial_conditions(rule, count=10, t=600, blocks=12, m=30,
     return InterestingIcs(ics, tuple(agg), coeff)
 
 
-@dataclass(frozen=True)
-class CoefficientReport:
-    """Transition coefficients for a rule set, sorted descending, with a
-    largest-gap clustering of the coefficient values."""
-
-    records: tuple
-    clusters: tuple
+CoefficientReport = namedtuple("CoefficientReport", "records clusters")
+CoefficientReport.__doc__ = """Transition coefficients for a rule set, sorted
+descending, with a largest-gap clustering of the coefficient values."""
 
 
 def coefficient_classification(rules, n=20, t_block=75, blocks=4,

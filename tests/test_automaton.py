@@ -1,3 +1,4 @@
+import pickle
 from itertools import islice
 
 import numpy as np
@@ -73,7 +74,25 @@ class TestRuleSpec:
             RuleSpec(*args)
 
     def test_numpy_integer_rule_number_accepted(self):
-        assert RuleSpec(CA, 2, np.int64(30)) == RuleSpec(CA, 2, 30)
+        """Every integer field is stored as an int, so the space size is
+        exact past 2**63 and a numpy field equals and hashes like an int."""
+        for args, plain in [((CA, 2, np.int64(30)), (CA, 2, 30)),
+                            ((CA, np.int64(2), 30), (CA, 2, 30)),
+                            ((TM, 2, 5, np.int64(2)), (TM, 2, 5, 2))]:
+            spec = RuleSpec(*args)
+            assert spec == RuleSpec(*plain)
+            assert hash(spec) == hash(RuleSpec(*plain))
+            assert [type(v) for v in spec[1:]] == [int, int, int]
+            assert spec.space_size == RuleSpec(*plain).space_size
+
+    def test_every_construction_path_is_checked(self):
+        spec = RuleSpec.eca(30)
+        with pytest.raises(ValueError, match="outside the"):
+            spec._replace(rule_number=256)
+        with pytest.raises(ValueError, match="outside the"):
+            RuleSpec._make([CA, 2, 256, 1])
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and type(copy) is RuleSpec
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([(CA, 2, 1), (CA, 3, 1), (CA, 4, 1), (TM, 2, 1),
@@ -309,7 +328,12 @@ class TestReadMask:
             SpaceTimeDiagram(d.width + 1, d.cells)
 
     def test_a_diagram_equals_no_other_type(self):
-        assert (evolve_ca(RuleSpec.eca(30), (1,), 5) == 5) is False
+        d = evolve_ca(RuleSpec.eca(30), (1,), 5)
+        assert (d == 5) is False
+        assert (d != evolve_ca(RuleSpec.eca(30), (1,), 5)) is False
+        assert (d != evolve_ca(RuleSpec.eca(90), (1,), 5)) is True
+        with pytest.raises(TypeError):
+            d < d
 
     @pytest.mark.parametrize("init", [(1,), initial_condition(5)])
     def test_key_is_equal_exactly_when_the_diagrams_are(self, init):

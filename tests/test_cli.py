@@ -880,22 +880,25 @@ def test_numpy_is_loaded_only_by_runs_that_evolve_a_ca(tmp_path, argv, code,
     assert proc.stdout.splitlines()[-1] == f"{code} {loads_numpy}"
 
 
-# The same for three standard modules that cost ~4 ms to import together.
+# The same for three standard modules that cost ~4 ms to import together,
+# and for the record generator ``dataclasses`` and its ``inspect``.
 _STDLIB_PROBE = """\
 import sys
 import ccl, ccl.cli
 if sys.argv[1:]:
     ccl.cli.main(sys.argv[1:])
-print(*sorted({"decimal", "fractions", "statistics"} & set(sys.modules)))
+print(*sorted({"dataclasses", "decimal", "fractions", "inspect",
+               "statistics"} & set(sys.modules)))
 """
 
 
 @pytest.mark.parametrize("argv, loaded", [
     ([], ""),
     (["tm-search", "--out", "{out}", "--create"], ""),
-    # The control: spike detection takes a median.
+    # The control: spike detection takes a median, and numpy, which a CA
+    # run imports, loads inspect.
     (["profile", "--rule", "22", "--ic-count", "5", "--steps", "20",
-      "--out", "{out}", "--create"], "decimal fractions statistics"),
+      "--out", "{out}", "--create"], "decimal fractions inspect statistics"),
 ], ids=["import", "tm-search", "profile"])
 def test_fractions_and_statistics_are_loaded_only_by_their_users(
         tmp_path, argv, loaded):
