@@ -7,6 +7,7 @@ byte encoding, one raw-DEFLATE parameter set, lengths in bytes.
 """
 
 import os
+import sys
 import zlib
 from collections import namedtuple
 from functools import partial
@@ -148,7 +149,8 @@ def _grid(rules, ics, t_block, blocks, threads=None):
     row 1, so it holds every cell that could share the cell's diagram (see
     ``automaton``).  Whole groups map over ``threads`` worker processes.
     A Turing machine, more than 10 colors or negative steps are refused
-    before any evolving, so a group cannot pass a machine off as a CA.
+    before any evolving, so a group cannot pass a machine off as a CA; a
+    window wider than ``sys.maxsize`` cells raises OverflowError.
     """
     steps = t_block * blocks
     for rule in rules:
@@ -160,6 +162,9 @@ def _grid(rules, ics, t_block, blocks, threads=None):
     if steps < 0:
         raise ValueError("steps must be >= 0")
     width = max(map(len, ics)) + 2 * (steps + 1)
+    if width > sys.maxsize:
+        raise OverflowError(f"{steps} steps need a window of {width} cells, "
+                            f"more than {sys.maxsize}")
     ends = [(width + 1) * (b * t_block + 1) for b in range(1, blocks + 1)]
     ics = [tuple(ic) for ic in ics]
     row0 = {ic: _evolve_bits(0, ic, min(steps, 1), width)[1] for ic in ics}

@@ -22,8 +22,6 @@ def initial_condition_number(ic):
     cells = tuple(ic)
     if not cells:
         raise ValueError("initial condition must be non-empty")
-    if cells == (1,):
-        return 0
     if cells[0] == 0 or cells[-1] != 1:
         raise ValueError("initial condition must start and end in 1")
     if any(c not in (0, 1) for c in cells):

@@ -22,7 +22,7 @@ from ccl import (CoefficientReport, RuleSpec, TransitionRecord,
                  interesting_initial_conditions, least_squares_fit,
                  rank_rules, transition_record)
 from ccl.cli import _PARAMS, main
-from ccl.svgplot import MARGIN, _fmt
+from ccl.svgplot import MARGIN
 from oracles import two_level_clusters
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -162,6 +162,21 @@ def test_transition_needs_two_blocks(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_transition_without_rules_sweeps_all_256_ecas(tmp_path,
+                                                       monkeypatch):
+    """With no ``rules``, the sweep gets the 256 binary rules in order.
+    The stand-in refuses after recording them, so no sweep runs."""
+    swept = []
+
+    def refuse(specs, *args, **kwargs):
+        swept.extend(specs)
+        raise ValueError("recorded")
+
+    monkeypatch.setattr("ccl.cli.coefficient_classification", refuse)
+    assert main(["transition", "--out", str(tmp_path)]) == 2
+    assert swept == [RuleSpec.eca(n) for n in range(256)]
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"steps": 40, "bogus": 1}))
@@ -218,6 +233,9 @@ def test_unknown_config_key_rejected(tmp_path):
      "3-color space needs an explicit rule list or sample_size"),
     ("transition", {"colors": 3},
      "non-binary sweeps need an explicit rule list"),
+    ("classify", {"rules": [30], "steps": -1}, "steps must be >= 0"),
+    ("profile", {"rule": 30, "ic_count": 0},
+     "need at least one initial condition"),
 ], ids=["steps-null", "steps-true", "steps-float", "colors-11-sampled",
         "threshold-null", "rules-item-null", "ic-item-null",
         "rules-item-float", "rules-item-true", "normalize-string",
@@ -229,7 +247,8 @@ def test_unknown_config_key_rejected(tmp_path):
         "rules-item-5001-digits", "config-not-utf-8", "seed-negative",
         "sample-kind-lowercase", "config-not-json", "config-nested-deep",
         "config-array",
-        "classify-colors-3-no-rules", "transition-colors-3-no-rules"])
+        "classify-colors-3-no-rules", "transition-colors-3-no-rules",
+        "classify-steps-negative", "profile-ic-count-0"])
 def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys,
                                                 evolutions, command, config,
                                                 message):
@@ -445,19 +464,22 @@ def test_memory_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["classify", "--steps", str(10 ** 21)],
-    ["profile", "--rule", "30", "--ic-count", "2", "--steps", str(10 ** 20)],
-    ["transition", "--rules", "30", "--t-block", str(10 ** 20)],
+@pytest.mark.parametrize("argv, steps", [
+    (["classify", "--steps", str(10 ** 21)], 10 ** 21),
+    (["profile", "--rule", "30", "--ic-count", "2", "--steps", str(10 ** 20)],
+     10 ** 20),
+    (["transition", "--rules", "30", "--t-block", str(10 ** 20)],
+     10 ** 20 * _PARAMS["transition"]["blocks"].default),
 ], ids=["classify", "profile", "transition"])
 def test_window_too_large_to_represent_exits_3_with_one_line(tmp_path, capsys,
-                                                             argv):
-    """A window so wide that its first row cannot be built as one integer
-    is a resource failure, like running out of memory."""
+                                                             argv, steps):
+    """A window wider than ``sys.maxsize`` cells is a resource failure, like
+    running out of memory; the one line names the run's step count."""
     out = tmp_path / "new"
     assert main(argv + ["--out", str(out), "--create"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("ccl: ") and err.count("\n") == 1
+    assert f"ccl: {steps} steps need a window of " in err
     assert not out.exists()
 
 
@@ -736,7 +758,7 @@ def test_transition_plot_spans_the_fit_at_every_x(S_c):
                      "--out", out]) == 0
         svg = Path(out, "profile-22.svg").read_text()
     labels = re.findall(f'<text x="{MARGIN - 4}" [^>]*>([^<]*)</text>', svg)
-    assert labels == [_fmt(min(ys)), _fmt(max(ys))]
+    assert labels == [f"{min(ys):.2f}", f"{max(ys):.2f}"]
 
 
 def test_profile_command_outputs(tmp_path):
