@@ -11,15 +11,14 @@ __version__ = "0.1.0"
 
 from .automaton import (CA, TM, RuleSpec, SpaceTimeDiagram, evolve_ca,
                         reached_states_sequence, state_sequence)
-from .classify import (ClassificationEntry, ClassificationReport,
-                       classify_eca, cluster_1d, rank_rules,
-                       sample_rule_space)
+from .classify import (ClassificationEntry, classify_eca, cluster_1d,
+                       rank_rules, sample_rule_space)
 from .complexity import (COMPRESSOR, ComplexityEstimate, ca_complexity,
                          compressed_length, deflate, encode_diagram,
                          encode_sequence, prefix_compressed_lengths,
                          tm_complexity)
 from .initcond import initial_condition, initial_condition_number
-from .transition import (CoefficientReport, InterestingIcs, TransitionRecord,
+from .transition import (InterestingIcs, TransitionRecord,
                          characteristic_exponent, coefficient_classification,
                          detect_spikes, ic_profile,
                          interesting_initial_conditions, least_squares_fit,
@@ -33,9 +32,8 @@ __all__ = [
     "deflate", "compressed_length", "prefix_compressed_lengths",
     "encode_diagram", "encode_sequence",
     "ca_complexity", "tm_complexity",
-    "ClassificationEntry", "ClassificationReport", "rank_rules",
-    "cluster_1d", "classify_eca", "sample_rule_space",
-    "TransitionRecord", "InterestingIcs", "CoefficientReport",
+    "ClassificationEntry", "rank_rules", "cluster_1d", "classify_eca",
+    "sample_rule_space", "TransitionRecord", "InterestingIcs",
     "ic_profile", "detect_spikes", "characteristic_exponent",
     "least_squares_fit", "transition_record", "interesting_initial_conditions",
     "coefficient_classification",

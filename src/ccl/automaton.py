@@ -160,9 +160,9 @@ def _evolve_bits(rule_number, init, steps, width):
     :func:`_centre_split`) as its centre is 0 or 1, so a step is a few
     word-wide boolean operations regardless of width.  Returns the list of
     row integers (bit i = cell i) and ``reads``, bit p set if pattern p
-    occurs in rows 0..steps-1: row 0 has 0 at its margin, and a nonzero
-    term proves its own pattern.  A rule with this one's images on them
-    evolves the same rows, by induction.
+    occurs in rows 0..steps-1 (the unread patterns, stepped as a rule, set
+    the cells that read one; past the window 0 is read, as at row 0's
+    margin).  A rule with this one's images on them evolves the same rows.
     """
     x = 0
     off = (width - len(init)) // 2
@@ -171,21 +171,25 @@ def _evolve_bits(rule_number, init, steps, width):
             x |= 1 << (off + i)
     mask = (1 << width) - 1
     g0, g1 = _centre_split(rule_number)
-    unread = [(1 << p, (p >> 2) & 1, (p >> 1) & 1, p & 1) for p in range(1, 8)]
-    rows, bg, reads = [x], 0, min(steps, 1)
+    unread, (h0, h1) = 0xFF, _centre_split(0xFF)
+    rows, bg = [x], 0
     for _ in range(steps):
         left = ((x << 1) & mask) | bg
         right = (x >> 1) | (bg << (width - 1))
-        for b, l, c, r in unread:  # only until all eight have been read
-            if ((left if l else ~left) & (x if c else ~x)
-                    & (right if r else ~right)):
-                reads |= b
-                unread = [u for u in unread if not reads & u[0]]
+        while unread:  # only until all eight have been read
+            f = h0(left, right)
+            hit = f ^ (x & (f ^ h1(left, right)))
+            if not hit:
+                break
+            low = hit & -hit  # the lowest hit cell's pattern is read
+            unread ^= 1 << (4 * bool(left & low) + 2 * bool(x & low)
+                            + bool(right & low))
+            h0, h1 = _centre_split(unread)
         f0 = g0(left, right)
         x = (f0 ^ (x & (f0 ^ g1(left, right)))) & mask
         rows.append(x)
         bg = (rule_number >> (7 if bg else 0)) & 1
-    return rows, reads
+    return rows, 0xFF & ~unread
 
 
 def _bits_to_cells(rows, width):

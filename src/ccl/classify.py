@@ -17,21 +17,10 @@ ClassificationEntry = namedtuple("ClassificationEntry",
                                  "rule c_raw c_compressed cluster")
 
 
-class ClassificationReport(namedtuple("ClassificationReport", "entries")):
-    """Per-rule compressed lengths with cluster assignments, sorted by
-    compressed length ascending (ties by rule number); cluster ids are
-    dense from 0 and ordered by cluster mean."""
-
-    __slots__ = ()
-
-    def cluster_members(self, cluster):
-        return [e.rule.rule_number for e in self.entries if e.cluster == cluster]
-
-
 def rank_rules(rules, init, steps, threads=None, split_levels=1):
-    """Rank rules by compressed length, ascending with ties by rule number,
-    and split the lengths in two at the largest gap; ``split_levels=2``
-    splits the high cluster again, giving ids 0 (low), 1 and 2 (highest).
+    """The rules' :class:`ClassificationEntry` tuple, ranked by compressed
+    length, ascending with ties by rule number, and clustered in two at the
+    largest gap; ``split_levels=2`` splits the high cluster again: ids 0, 1, 2.
 
     The lengths are the grid of one initial condition and one block of
     ``steps``, whose cells come back in input order, so worker processes
@@ -53,9 +42,8 @@ def rank_rules(rules, init, steps, threads=None, split_levels=1):
         cut = ids.index(1)
         ids[cut:] = [1 + i for i in cluster_1d(lengths[cut:])]
     c_raw = _raw_length(init, steps)
-    return ClassificationReport(
-        tuple(ClassificationEntry(r, c_raw, c, i)
-              for (c, r), i in zip(ranked, ids)))
+    return tuple(ClassificationEntry(r, c_raw, c, i)
+                 for (c, r), i in zip(ranked, ids))
 
 
 def cluster_1d(values):

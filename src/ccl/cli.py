@@ -218,12 +218,12 @@ def cmd_classify(cfg, threads):
             raise ValueError(f"{colors}-color space needs an explicit rule "
                              "list or sample_size")
         rules = range(256)
-    report = rank_rules([RuleSpec(CA, colors, r) for r in rules], cfg["ic"],
-                        cfg["steps"], threads, cfg["split_levels"])
+    ranking = rank_rules([RuleSpec(CA, colors, r) for r in rules], cfg["ic"],
+                         cfg["steps"], threads, cfg["split_levels"])
     entries = [{"rule": e.rule.rule_number, "kind": e.rule.kind,
                 "colors": e.rule.colors, "c_raw": e.c_raw,
                 "c_compressed": e.c_compressed, "cluster": e.cluster}
-               for e in report.entries]
+               for e in ranking]
     parameters = {"steps": cfg["steps"], "init": cfg["ic"],
                   "compressor": COMPRESSOR["id"]}
     clusters = {}
@@ -249,22 +249,22 @@ def cmd_transition(cfg, threads):
     # The scan's checks run before the sweep, which can take seconds.
     _scan_block(cfg["count"], cfg["profile_steps"], cfg["profile_blocks"],
                 cfg["scan"])
-    report = coefficient_classification(
+    ranking = coefficient_classification(
         specs, cfg["n"], cfg["t_block"], cfg["blocks"], threads=threads,
     )
     entries = [{"rule": rec.rule.rule_number, "kind": rec.rule.kind,
                 "colors": rec.rule.colors, "n": cfg["n"],
                 "t_block": cfg["t_block"], "blocks": cfg["blocks"],
                 "S_c": list(rec.S_c), "intercept": rec.fit[0],
-                "coefficient": rec.C, "cluster": cluster}
-               for rec, cluster in zip(report.records, report.clusters)]
+                "coefficient": rec.C, "cluster": rec.cluster}
+               for rec in ranking]
     parameters = {"n": cfg["n"], "t_block": cfg["t_block"],
                   "blocks": cfg["blocks"], "compressor": COMPRESSOR["id"]}
     files = {"coefficients.csv": _csv("rule,kind,colors,coefficient,cluster",
                                       entries),
              "coefficients.json": _json({"parameters": parameters,
                                          "entries": entries})}
-    for rec in report.records:
+    for rec in ranking:
         intercept, slope = rec.fit
         ends = (1, len(rec.S_c))
         files[f"profile-{rec.rule.rule_number}.svg"] = plot_svg(
@@ -274,7 +274,7 @@ def cmd_transition(cfg, threads):
             dots=[(list(enumerate(rec.S_c, 1)), 0, 3.0)])
     threshold = float(cfg["threshold"])
     scans = []
-    for rec in report.records[: cfg["top"]]:
+    for rec in ranking[: cfg["top"]]:
         found = interesting_initial_conditions(
             rec.rule, cfg["count"], cfg["profile_steps"],
             cfg["profile_blocks"], cfg["scan"], threads=threads,

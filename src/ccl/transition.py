@@ -27,10 +27,11 @@ from .complexity import _grid
 from .initcond import initial_condition
 
 
-class TransitionRecord(namedtuple("TransitionRecord", "rule S_c fit")):
+class TransitionRecord(namedtuple("TransitionRecord",
+                                  "rule S_c fit cluster")):
     """One rule's characteristic-exponent sequence over growing runtimes,
-    its fitted line (intercept, slope), and the coefficient C (= fitted
-    slope)."""
+    its fitted line (intercept, slope), the coefficient C (= fitted slope)
+    and the id of C's largest-gap cluster within its rule set."""
 
     __slots__ = ()
 
@@ -150,13 +151,13 @@ def least_squares_fit(seq):
 
 
 def transition_record(rule, n=20, t_block=75, blocks=4, threads=None):
-    """The :class:`TransitionRecord` of one rule.  ``S_c`` is its transition
-    sequence: the characteristic exponents over initial conditions 1..n at
-    runtimes t_block, 2*t_block, ..., blocks*t_block, each a row prefix of
-    one evolution per condition.  ``C`` is the transition coefficient, the
-    slope of the least-squares line ``fit`` through ``S_c``."""
-    return coefficient_classification([rule], n, t_block, blocks,
-                                      threads).records[0]
+    """The :class:`TransitionRecord` of one rule, in cluster 0.  ``S_c`` is
+    its transition sequence: the characteristic exponents over initial
+    conditions 1..n at runtimes t_block, 2*t_block, ..., blocks*t_block,
+    each a row prefix of one evolution per condition.  ``C`` is the
+    transition coefficient, the slope of the least-squares line ``fit``
+    through ``S_c``."""
+    return coefficient_classification([rule], n, t_block, blocks, threads)[0]
 
 
 def interesting_initial_conditions(rule, count=10, t=600, blocks=12, m=30,
@@ -186,23 +187,19 @@ def interesting_initial_conditions(rule, count=10, t=600, blocks=12, m=30,
     return InterestingIcs(ics, tuple(agg), coeff)
 
 
-CoefficientReport = namedtuple("CoefficientReport", "records clusters")
-CoefficientReport.__doc__ = """Transition coefficients for a rule set, sorted
-descending, with a largest-gap clustering of the coefficient values."""
-
-
 def coefficient_classification(rules, n=20, t_block=75, blocks=4,
                                threads=None):
-    """Rank a rule set by transition coefficient (largest first) and split
-    the coefficients into two groups at the largest gap."""
+    """The rules' :class:`TransitionRecord` tuple, ranked by transition
+    coefficient, largest first with ties by rule number, and clustered in
+    two at the largest gap."""
     rules = list(rules)
     if not rules:
         raise ValueError("rule set must be non-empty")
     if blocks < 2:
         raise ValueError("need at least two blocks to see a trend")
     seqs = _exponent_sequences(rules, n, t_block, blocks, threads)
-    records = [TransitionRecord(rule, tuple(seq), least_squares_fit(seq))
+    records = [TransitionRecord(rule, tuple(seq), least_squares_fit(seq), 0)
                for rule, seq in zip(rules, seqs)]
     records.sort(key=lambda rec: (-rec.C, rec.rule.rule_number))
     ids = cluster_1d(rec.C for rec in records)
-    return CoefficientReport(tuple(records), tuple(ids))
+    return tuple(rec._replace(cluster=i) for rec, i in zip(records, ids))

@@ -26,18 +26,17 @@ SIMPLE_RULES = frozenset({0, 8, 90, 128, 136, 255})
 
 
 def test_criterion_01_eca_clusters_recover_reference_classes(eca_report_200):
-    high_id = max(e.cluster for e in eca_report_200.entries)
-    high = {e.rule.rule_number for e in eca_report_200.entries
+    high_id = max(e.cluster for e in eca_report_200)
+    high = {e.rule.rule_number for e in eca_report_200
             if e.cluster == high_id}
-    low = {e.rule.rule_number for e in eca_report_200.entries
-           if e.cluster == 0}
+    low = {e.rule.rule_number for e in eca_report_200 if e.cluster == 0}
     assert COMPLEX_RULES <= high
     assert SIMPLE_RULES <= low
     assert len(high - COMPLEX_RULES) <= 4
 
 
 def test_criterion_02_compressed_length_ordering(eca_report_200):
-    c = {e.rule.rule_number: e.c_compressed for e in eca_report_200.entries}
+    c = {e.rule.rule_number: e.c_compressed for e in eca_report_200}
     assert c[0] < c[90] < c[30]
     assert abs(c[0] - c[255]) <= 2
 
@@ -115,12 +114,12 @@ def test_criterion_07_top_coefficients_and_sign_margins(coefficient_sweep,
         return tables
 
     monkeypatch.setattr("ccl.transition._grid", shared)
-    report = coefficient_classification(
+    ranking = coefficient_classification(
         [RuleSpec.eca(r) for r in range(256)], threads=4
     )
-    top4 = {rec.rule.rule_number for rec in report.records[:4]}
+    top4 = {rec.rule.rule_number for rec in ranking[:4]}
     assert top4 == {22, 151, 109, 73}
-    by_rule = {rec.rule.rule_number: rec.C for rec in report.records}
+    by_rule = {rec.rule.rule_number: rec.C for rec in ranking}
     assert by_rule[110] > 0
     assert abs(by_rule[30]) < 0.1 * by_rule[110]
     assert abs(by_rule[1]) < 0.1 * by_rule[110]

@@ -72,10 +72,10 @@ class TestCluster1d:
 
 class TestRankRules:
     def test_single_rule(self):
-        report = rank_rules([RuleSpec.eca(30)], (1,), 40)
-        assert len(report.entries) == 1
-        assert report.entries[0].cluster == 0
-        assert report.entries[0].rule.rule_number == 30
+        ranking = rank_rules([RuleSpec.eca(30)], (1,), 40)
+        assert type(ranking) is tuple and len(ranking) == 1
+        assert ranking[0].cluster == 0
+        assert ranking[0].rule.rule_number == 30
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -87,12 +87,12 @@ class TestRankRules:
         d0 = evolve_ca(RuleSpec.eca(0), (1,), 30)
         d8 = evolve_ca(RuleSpec.eca(8), (1,), 30)
         assert encode_diagram(d0) == encode_diagram(d8)
-        report = rank_rules(
+        ranking = rank_rules(
             [RuleSpec.eca(n) for n in (8, 30, 0)], (1,), 30
         )
-        numbers = [e.rule.rule_number for e in report.entries]
+        numbers = [e.rule.rule_number for e in ranking]
         assert numbers == [0, 8, 30]
-        cs = [e.c_compressed for e in report.entries]
+        cs = [e.c_compressed for e in ranking]
         assert cs[0] == cs[1] <= cs[2]
 
     def test_threaded_matches_serial(self):
@@ -134,10 +134,10 @@ class TestRankRules:
                                     steps).compressed_length
                    for n in numbers}
         ranked = sorted(numbers, key=lambda n: (lengths[n], n))
-        report = rank_rules([RuleSpec.eca(n) for n in numbers], (1,), steps,
-                            split_levels=2)
-        assert [e.rule.rule_number for e in report.entries] == ranked
-        assert [e.cluster for e in report.entries] == two_level_clusters(
+        ranking = rank_rules([RuleSpec.eca(n) for n in numbers], (1,), steps,
+                             split_levels=2)
+        assert [e.rule.rule_number for e in ranking] == ranked
+        assert [e.cluster for e in ranking] == two_level_clusters(
             [lengths[n] for n in ranked])
 
     def test_bad_split_levels_rejected_first(self):
@@ -150,26 +150,23 @@ class TestClassifyEca:
         a = classify_eca(50, threads=2)
         b = classify_eca(50)
         assert a == b
-        assert len(a.entries) == 256
-        cs = [e.c_compressed for e in a.entries]
+        assert type(a) is tuple and len(a) == 256
+        cs = [e.c_compressed for e in a]
         assert cs == sorted(cs)
-        assert sorted(set(e.cluster for e in a.entries)) == [0, 1]
+        assert sorted(set(e.cluster for e in a)) == [0, 1]
 
     def test_recursive_split_refines_the_high_cluster(self):
         flat = classify_eca(50)
         deep = classify_eca(50, split_levels=2)
-        assert sorted(set(e.cluster for e in deep.entries)) == [0, 1, 2]
-        low_flat = set(flat.cluster_members(0))
-        assert set(deep.cluster_members(0)) == low_flat
-        assert set(deep.cluster_members(1)) | set(
-            deep.cluster_members(2)
-        ) == set(flat.cluster_members(1))
+        assert sorted(set(e.cluster for e in deep)) == [0, 1, 2]
+        assert [e.rule for e in deep] == [e.rule for e in flat]
+        # the second split refines cluster 1 into 1 and 2; cluster 0 stays
+        assert [min(e.cluster, 1) for e in deep] == [e.cluster for e in flat]
 
     def test_no_mirror_pair_is_split_at_t200(self, eca_report_200):
         # A rule and its left-right mirror draw reflected diagrams from the
         # single black cell, so they belong in the same class.
-        cluster = {e.rule.rule_number: e.cluster
-                   for e in eca_report_200.entries}
+        cluster = {e.rule.rule_number: e.cluster for e in eca_report_200}
         for number, c in cluster.items():
             assert cluster[mirror(RuleSpec.eca(number)).rule_number] == c
 
@@ -248,8 +245,7 @@ class TestSampleRuleSpace:
     def test_sampled_three_color_top_rule_has_growing_complexity(self):
         rules = [RuleSpec(CA, 3, n)
                  for n in sample_rule_space(CA, 3, 1, 24, seed=5)]
-        report = rank_rules(rules, (1,), 100)
-        top = report.entries[-1].rule
+        top = rank_rules(rules, (1,), 100)[-1].rule
         curve = [
             ca_complexity(top, (1,), t).compressed_length
             for t in (25, 50, 75, 100)

@@ -17,8 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl import (CoefficientReport, RuleSpec, TransitionRecord,
-                 classify_eca, coefficient_classification, detect_spikes,
+from ccl import (RuleSpec, TransitionRecord, classify_eca, coefficient_classification, detect_spikes,
                  interesting_initial_conditions, least_squares_fit,
                  rank_rules, transition_record)
 from ccl.cli import _PARAMS, main
@@ -656,7 +655,7 @@ def test_full_eca_classify_uses_the_configured_ic(tmp_path):
     assert doc["entries"] == [
         {"rule": e.rule.rule_number, "kind": "CA", "colors": 2,
          "c_raw": e.c_raw, "c_compressed": e.c_compressed,
-         "cluster": e.cluster} for e in want.entries]
+         "cluster": e.cluster} for e in want]
 
 
 # With 30, 90, 110 the high cluster holds rule 30 alone, so only adding
@@ -674,9 +673,8 @@ def test_rule_list_classify_splits_two_levels(tmp_path, rules, cluster_ids):
     doc = json.loads((tmp_path / "classification.json").read_text())
     got = {e["rule"]: e["cluster"] for e in doc["entries"]}
     flat = rank_rules([RuleSpec.eca(n) for n in rules], (1,), 20)
-    want = two_level_clusters([e.c_compressed for e in flat.entries])
-    assert got == {e.rule.rule_number: i
-                   for e, i in zip(flat.entries, want)}
+    want = two_level_clusters([e.c_compressed for e in flat])
+    assert got == {e.rule.rule_number: i for e, i in zip(flat, want)}
     assert sorted(set(got.values())) == cluster_ids
 
 
@@ -749,11 +747,10 @@ def test_transition_plot_spans_the_fit_at_every_x(S_c):
     """The y-axis labels of a transition plot are the least and the greatest
     of S_c and of the fitted line at every x, whichever way the line runs."""
     intercept, slope = fit = least_squares_fit(S_c)
-    report = CoefficientReport(
-        (TransitionRecord(RuleSpec.eca(22), tuple(S_c), fit),), (0,))
+    ranking = (TransitionRecord(RuleSpec.eca(22), tuple(S_c), fit, 0),)
     ys = [*S_c, *(intercept + slope * x for x in range(1, len(S_c) + 1))]
     with tempfile.TemporaryDirectory() as out, mock.patch(
-            "ccl.cli.coefficient_classification", return_value=report):
+            "ccl.cli.coefficient_classification", return_value=ranking):
         assert main(["transition", "--rules", "22", "--top", "0",
                      "--out", out]) == 0
         svg = Path(out, "profile-22.svg").read_text()

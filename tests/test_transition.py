@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl import (RuleSpec, characteristic_exponent, coefficient_classification,
-                 compressed_length, detect_spikes, encode_diagram, evolve_ca,
+from ccl import (RuleSpec, characteristic_exponent, cluster_1d,
+                 coefficient_classification, compressed_length, detect_spikes, encode_diagram, evolve_ca,
                  ic_profile, initial_condition, initial_condition_number,
                  interesting_initial_conditions, least_squares_fit,
                  transition, transition_record)
@@ -207,6 +207,8 @@ class TestTransitionSequence:
 
     def test_record_carries_its_fit(self, tmp_path):
         rec = transition_record(RuleSpec.eca(22), 4, 20, 3)
+        assert rec._fields == ("rule", "S_c", "fit", "cluster")
+        assert rec.cluster == 0
         assert rec.C == rec.fit[1]
         assert len(rec.S_c) == 3
         assert main(["transition", "--rules", "22", "--n", "4", "--t-block",
@@ -307,12 +309,15 @@ class TestCoefficientClassification:
 
     def test_small_set_orders_and_clusters(self):
         rules = [RuleSpec.eca(n) for n in (22, 0, 4)]
-        report = coefficient_classification(rules, n=6, t_block=30, blocks=3)
-        numbers = [rec.rule.rule_number for rec in report.records]
+        ranking = coefficient_classification(rules, n=6, t_block=30,
+                                             blocks=3)
+        assert type(ranking) is tuple
+        numbers = [rec.rule.rule_number for rec in ranking]
         assert numbers[0] == 22
-        cs = [rec.C for rec in report.records]
+        cs = [rec.C for rec in ranking]
         assert cs == sorted(cs, reverse=True)
-        assert report.clusters[0] >= report.clusters[-1]
+        assert [rec.cluster for rec in ranking] == cluster_1d(cs)
+        assert ranking[0].cluster >= ranking[-1].cluster
 
     def test_csv_and_json_layout(self, tmp_path):
         """Each CSV row holds the fields of the JSON entry of its rank, the
